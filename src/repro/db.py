@@ -53,6 +53,15 @@ from repro.catalog.constraints import TotalParticipation
 from repro.engine import ENGINES, make_executor
 from repro.engine.evaluator import Evaluator, RowResolver
 from repro.engine.executor import Executor
+from repro.prepared import (
+    PREPARABLE_MODES,
+    PreparedFallback,
+    PreparedStatementCache,
+    decide,
+    get_or_build_template,
+    resolve_signature,
+    run_template,
+)
 from repro.storage.table import Table
 
 MODES = ("open", "truman", "non-truman", "motro")
@@ -200,8 +209,6 @@ class Database:
         #: prepared-statement template cache (paper Section 5.6); always
         #: populated lazily, but only consulted by execute_query when
         #: ``prepared_enabled`` (or the per-call flag) says so
-        from repro.prepared import PreparedStatementCache
-
         self.prepared = PreparedStatementCache(self)
         self.prepared_enabled = False
         #: undo log for the active transaction (None = autocommit)
@@ -476,52 +483,62 @@ class Database:
         ctx=None,
         prepared: Optional[bool] = None,
     ) -> Result:
-        """Run a query under the given access-control mode.
+        """Run a query under the given access-control mode: authorize
+        (Non-Truman decision or Truman rewrite), then execute.
 
         ``prepared`` opts in to (or out of) the prepared-statement
-        pipeline (:mod:`repro.prepared`) for this call; ``None`` defers
-        to :attr:`prepared_enabled`.  Queries the pipeline cannot serve
-        identically fall back to the standard path transparently.
+        templates (:mod:`repro.prepared`) for this call; ``None`` defers
+        to :attr:`prepared_enabled`.  Queries a template cannot serve
+        identically carry on without one, transparently.  The gateway's
+        ``_serve`` composes the same steps (DESIGN.md, "Request
+        pipeline").
         """
-        use_prepared = self.prepared_enabled if prepared is None else prepared
-        if use_prepared and not access_params:
-            from repro.prepared import PREPARABLE_MODES, PreparedFallback
-            from repro.prepared.pipeline import execute_prepared
-
-            if mode in PREPARABLE_MODES:
-                try:
-                    return execute_prepared(
-                        self, sql, session or SessionContext(), mode,
-                        engine=engine, ctx=ctx,
-                    )
-                except PreparedFallback:
-                    pass
-
-        query = parse_statement(sql) if isinstance(sql, str) else sql
-        if not isinstance(query, ast.QueryExpr):
-            raise BindError("execute_query requires a SELECT statement")
         session = session or SessionContext()
+        use_prepared = self.prepared_enabled if prepared is None else prepared
+        resolved = template = None
+        if use_prepared and not access_params and mode in PREPARABLE_MODES:
+            try:
+                resolved = resolve_signature(self, sql)
+                template, _hit = get_or_build_template(
+                    self, resolved[0], resolved[1], session, mode, resolved[2]
+                )
+            except PreparedFallback:
+                pass
+        query = None if isinstance(sql, str) else sql
+        if template is None:
+            if query is None:
+                query = parse_statement(sql)
+            if not isinstance(query, ast.QueryExpr):
+                raise BindError("execute_query requires a SELECT statement")
 
-        if mode == "open":
-            return self._run(query, session, access_params, engine, ctx)
-        if mode == "truman":
-            from repro.truman.rewrite import truman_rewrite
-
-            modified = truman_rewrite(self, query, session)
-            return self._run(modified, session, access_params, engine, ctx)
-        if mode == "motro":
-            from repro.motro.model import motro_query
-
-            return motro_query(self, query, session)
         if mode == "non-truman":
-            decision = self.check_validity(query, session, ctx=ctx)
+            decision = decide(
+                self,
+                session,
+                query,
+                resolved,
+                cache=None if template is None else template.decisions,
+                data_version=self.validity_cache.data_version,
+                ctx=ctx,
+            )
             if not decision.valid:
                 raise QueryRejectedError(
                     f"query rejected by Non-Truman model: {decision.reason}",
                     decision=decision,
                 )
-            return self._run(query, session, access_params, engine, ctx)
-        raise AccessControlError(f"unknown access-control mode {mode!r}")
+        if template is not None:
+            return run_template(self, template, resolved[1], session, engine, ctx)
+        if mode == "truman":
+            from repro.truman.rewrite import truman_rewrite
+
+            query = truman_rewrite(self, query, session)
+        elif mode == "motro":
+            from repro.motro.model import motro_query
+
+            return motro_query(self, query, session)
+        elif mode not in ("open", "non-truman"):
+            raise AccessControlError(f"unknown access-control mode {mode!r}")
+        return self._run(query, session, access_params, engine, ctx)
 
     def check_validity(
         self,

@@ -13,10 +13,10 @@ invalidation invariants.
 from repro.prepared.cache import PreparedStatementCache
 from repro.prepared.pipeline import (
     PREPARABLE_MODES,
-    decide_prepared,
-    execute_prepared,
+    decide,
     get_or_build_template,
     resolve_signature,
+    run_template,
 )
 from repro.prepared.template import (
     PlanBinder,
@@ -35,9 +35,9 @@ __all__ = [
     "PreparedStatementCache",
     "PreparedTemplate",
     "bind_skeleton",
-    "decide_prepared",
-    "execute_prepared",
+    "decide",
     "get_or_build_template",
     "placeholder_names",
     "resolve_signature",
+    "run_template",
 ]

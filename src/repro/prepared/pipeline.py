@@ -1,20 +1,20 @@
 """The prepared execution pipeline: signature → template → bind → run.
 
-Entry points used by :meth:`repro.db.Database.execute_query` and the
-enforcement gateway:
+The steps :meth:`repro.db.Database.execute_query` and the enforcement
+gateway's ``_serve`` both compose (DESIGN.md, "Request pipeline"):
 
 * :func:`resolve_signature` — SQL text (or parsed query) to
   ``(skeleton, literals, signature_text)``, memoized per text.
 * :func:`get_or_build_template` — the template-cache lookup/build.
-* :func:`decide_prepared` — Non-Truman decision for a bound literal
-  tuple, served from the template's decision cache when the paper's
-  §5.6 carry-over rule applies.
-* :func:`execute_prepared` — the full Database-level pipeline.
+* :func:`decide` — the Non-Truman decision, served from the caller's
+  decision cache when the paper's §5.6 carry-over rule applies.
+* :func:`run_template` — bind the literals into the plan and run it.
 
-Anything the pipeline cannot serve **identically** to the fresh path
-raises :class:`~repro.prepared.template.PreparedFallback`, and the
-caller re-executes through the standard parse → check → plan route, so
-behavior (including error messages) is preserved bit-for-bit.
+Anything a template cannot serve **identically** to the fresh path
+raises :class:`~repro.prepared.template.PreparedFallback` from the
+first two steps — before any user-visible effect — and the caller
+carries on without a template (parse → check → plan), so behavior
+(including error messages) is preserved bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.errors import (
     BindError,
     CatalogError,
     ParameterError,
-    QueryRejectedError,
     UnknownTableError,
     UnsupportedFeatureError,
 )
@@ -331,63 +330,60 @@ def _build_template(
 
 
 # ---------------------------------------------------------------------------
-# Decisions and execution
+# Decide, then bind and run
 # ---------------------------------------------------------------------------
 
 
-def decide_prepared(
-    db, template: PreparedTemplate, skeleton, literals: tuple, session, ctx=None
+def decide(
+    db, session, query=None, resolved=None, cache=None, data_version=None, ctx=None
 ) -> ValidityDecision:
-    """Non-Truman decision for one bound literal tuple, consulting the
-    template's embedded decision cache first (§5.6 carry-over rule)."""
-    data_version = db.validity_cache.data_version
-    cached = template.decisions.lookup_signed(
-        session.user, skeleton, literals, session.user_id,
-        data_version=data_version,
-    )
-    if cached is not None:
-        validity, reason = cached
-        return ValidityDecision(validity=validity, reason=reason, from_cache=True)
-    bound = bind_skeleton(skeleton, literals)
-    decision = db.check_validity(bound, session, ctx=ctx)
-    template.decisions.store_signed(
-        session.user,
-        skeleton,
-        literals,
-        session.user_id,
-        decision.validity,
-        decision.reason,
-        data_version=data_version,
-    )
+    """The one place a Non-Truman decision is taken: decision-cache
+    lookup -> ``db.check_validity`` -> store.
+
+    ``cache`` is whichever decision cache the caller owns — the
+    gateway's shared cache, a template's embedded one (§5.6 carry-over
+    rule), or None (replica-served reads, unprepared in-process calls).
+    ``resolved`` is the ``(skeleton, literals, ...)`` signature when the
+    caller already holds it; otherwise ``query`` is signed here, once.
+    ``data_version`` must be the version observed *before* the check,
+    so that a write racing the inference leaves the stored entry stale.
+    An aborted check (deadline, cancel) raises through and stores
+    nothing.
+    """
+    if resolved is not None:
+        skeleton, literals = resolved[0], resolved[1]
+    elif cache is not None:
+        skeleton, literals = query_signature(query)
+    if cache is not None:
+        cached = cache.lookup_signed(
+            session.user, skeleton, literals, session.user_id,
+            data_version=data_version,
+        )
+        if cached is not None:
+            validity, reason = cached
+            return ValidityDecision(validity=validity, reason=reason, from_cache=True)
+    if query is None:
+        query = bind_skeleton(skeleton, literals)
+    decision = db.check_validity(query, session, ctx=ctx)
+    if cache is not None:
+        cache.store_signed(
+            session.user,
+            skeleton,
+            literals,
+            session.user_id,
+            decision.validity,
+            decision.reason,
+            data_version=data_version,
+        )
     return decision
 
 
-def execute_prepared(
-    db,
-    source: Union[str, ast.QueryExpr],
-    session,
-    mode: str,
-    engine: Optional[str] = None,
-    ctx=None,
+def run_template(
+    db, template: PreparedTemplate, literals: tuple, session, engine=None, ctx=None
 ):
-    """Full Database-level prepared execution; raises
-    :class:`PreparedFallback` when the standard path must be used."""
-    if mode not in PREPARABLE_MODES:
-        raise PreparedFallback(f"mode {mode!r} is not preparable")
-    skeleton, literals, signature_text = resolve_signature(db, source)
-    template, _hit = get_or_build_template(
-        db, skeleton, literals, session, mode, signature_text
-    )
-    if mode == "non-truman":
-        decision = decide_prepared(db, template, skeleton, literals, session, ctx)
-        if not decision.valid:
-            raise QueryRejectedError(
-                f"query rejected by Non-Truman model: {decision.reason}",
-                decision=decision,
-            )
-    plan = template.binder.bind(literals)
+    """Bind ``literals`` into the template's pre-pushed plan and run it."""
     return db.run_plan(
-        plan,
+        template.binder.bind(literals),
         session=session,
         engine=engine,
         ctx=ctx,

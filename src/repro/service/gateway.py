@@ -78,13 +78,14 @@ from repro.errors import (
 )
 from repro.sql import ast, parse_statement, render
 from repro.nontruman.cache import query_signature
-from repro.nontruman.decision import ValidityDecision
 from repro.prepared import (
     PREPARABLE_MODES,
     PreparedFallback,
     bind_skeleton,
+    decide,
     get_or_build_template,
     resolve_signature,
+    run_template,
 )
 from repro.service.audit import AuditLog
 from repro.service.breaker import CircuitBreaker
@@ -519,11 +520,15 @@ class EnforcementGateway:
         start = time.perf_counter()
         timing.queue_s = start - submitted_at
         worker = threading.current_thread().name
+        # what the audit record shows: the raw text, until a parsed
+        # query replaces it with its literal-stripped rendering
+        signature = request.sql
 
         def finish(response: QueryResponse) -> QueryResponse:
             timing.total_s = time.perf_counter() - submitted_at
             response.timing = timing
             response.worker = worker
+            response.signature = signature
             self._account(response)
             return response
 
@@ -589,7 +594,11 @@ class EnforcementGateway:
                     resolved = None
         timing.parse_s = time.perf_counter() - parse_start
 
-        if statement is not None and not isinstance(statement, ast.QueryExpr):
+        if resolved is not None:
+            signature = resolved[2]
+        elif isinstance(statement, ast.QueryExpr):
+            signature = render(query_signature(statement)[0])
+        else:
             return finish(self._process_statement(request, statement, timing))
         return finish(
             self._process_query_with_retries(
@@ -763,59 +772,45 @@ class EnforcementGateway:
         ctx: QueryContext,
         resolved: Optional[tuple] = None,
     ) -> QueryResponse:
-        """Serve one query request under the read lock.
+        """Serve one query request under the read lock, on a caught-up
+        replica when the cluster offers one, else on the primary.
 
         ``query`` is the parsed AST (None on a hot prepared hit that
         skipped the parser); ``resolved`` is the literal-stripped
         ``(skeleton, literals, signature_text)`` triple when the request
-        is eligible for the prepared-template path.  Anything the
-        template path cannot serve identically falls back to the fresh
-        parse → check → plan route.
+        is eligible for a prepared template.
         """
         self._rwlock.acquire_read()
         try:
             with self.pool.checkout(
                 request.user, request.mode, request.params
             ) as conn:
-                session = conn.session
                 replica = self._route_replica(request)
                 if replica is not None:
-                    if query is None and resolved is not None:
-                        skeleton, literals, _ = resolved
-                        query = bind_skeleton(skeleton, literals)
                     try:
-                        response = self._process_query_replica(
-                            request, query, replica, session, timing, ctx
-                        )
+                        # Applies and reads exclude each other through
+                        # the replica's lock, so a read never observes a
+                        # half-applied shipped batch.  The queue hop
+                        # between routing and this lock is a window the
+                        # failure detector may have used to quarantine
+                        # the replica: re-check under the lock, where
+                        # the database handle is also read (catch-up
+                        # bootstrap swaps it wholesale).
+                        with replica.read_lock():
+                            self.db.verify_replica_serving(replica)
+                            self.metrics.counter("replica_reads").inc()
+                            return self._serve(
+                                request, replica.database, conn.session,
+                                query, resolved, timing, ctx, replica,
+                            )
                     except ReplicaUnavailable:
-                        # the replica was quarantined (or fell behind the
-                        # epoch/lag gate) between routing and execution;
-                        # fall through to the primary path below — a
+                        # quarantined (or behind the epoch/lag gate)
+                        # since routing: the primary serves it — a
                         # correct answer, just not replica-served
                         self.metrics.counter("replica_fallbacks").inc()
-                    else:
-                        if resolved is not None:
-                            response.signature = resolved[2]
-                        return response
-                if resolved is not None:
-                    try:
-                        response = self._process_prepared(
-                            request, resolved, session, timing, ctx
-                        )
-                        response.signature = resolved[2]
-                        self.metrics.counter("prepared_requests").inc()
-                        return response
-                    except PreparedFallback:
-                        self.metrics.counter("prepared_fallbacks").inc()
-                        if query is None:
-                            skeleton, literals, _ = resolved
-                            query = bind_skeleton(skeleton, literals)
-                response = self._process_query_fresh(
-                    request, query, session, timing, ctx
+                return self._serve(
+                    request, self.db, conn.session, query, resolved, timing, ctx
                 )
-                if resolved is not None and response.signature is None:
-                    response.signature = resolved[2]
-                return response
         finally:
             self._rwlock.release_read()
 
@@ -837,353 +832,116 @@ class EnforcementGateway:
             return None
         return route()
 
-    def _process_query_replica(
+    def _serve(
         self,
         request: QueryRequest,
-        query: ast.QueryExpr,
-        replica,
+        db: "Database",
         session,
+        query: Optional[ast.QueryExpr],
+        resolved: Optional[tuple],
         timing: Timing,
         ctx: QueryContext,
+        replica=None,
     ) -> QueryResponse:
-        """Serve one read on a replica's own Database.
+        """The request pipeline: authorize -> phase boundary -> execute.
 
-        The replica enforces policy itself (its grants / Truman views /
-        VPD predicates are rebuilt from shipped WAL records), so the
-        outcome — rows, rejection message, audit decision — is the same
-        as the primary's; only the serving node differs.  Applies and
-        reads are mutually exclusive via the replica's lock, so a read
-        can never observe a half-applied shipped batch.
+        *Authorize* takes the decision before any row is touched: the
+        §5.6 template lookup/build (primary only; a
+        :class:`PreparedFallback` just means "no template", raised
+        before any user-visible effect), then the Non-Truman validity
+        decision through :func:`repro.prepared.decide` or — when no
+        template already carries it — the Truman rewrite; open and motro
+        pass through.  *Execute* binds and runs the template's plan, or
+        plans the authorized query afresh.
+
+        A replica is the same function over ``replica.database``: it
+        re-enforces policy itself (its grants / Truman views / VPD
+        predicates are rebuilt from shipped WAL records), so the outcome
+        is the primary's and only the serving node differs.  The
+        gateway's template and decision caches are stamped with the
+        primary's versions and are not consulted there.
         """
-        decision: Optional[ValidityDecision] = None
-        check_start = time.perf_counter()
-        with replica.read_lock():
-            # the queue hop between routing and this lock is a window the
-            # failure detector may have used to quarantine the replica;
-            # re-check under the lock (raises ReplicaUnavailable → the
-            # caller falls back to the primary, never a stale answer).
-            # The database handle is also read under the lock: catch-up
-            # bootstrap swaps it wholesale.
-            verify = getattr(self.db, "verify_replica_serving", None)
-            if verify is not None:
-                verify(replica)
-            rdb = replica.database
-            self.metrics.counter("replica_reads").inc()
-            if request.mode == "non-truman":
-                try:
-                    decision = rdb.check_validity(query, session, ctx=ctx)
-                except QueryAborted:
-                    timing.check_s = time.perf_counter() - check_start
-                    raise
-                except ReproError as exc:
-                    timing.check_s = time.perf_counter() - check_start
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.ERROR,
-                        error=str(exc),
-                        replica=replica.name,
-                    )
-                timing.check_s = time.perf_counter() - check_start
+        mode = request.mode
+        primary = replica is None
+        response = QueryResponse(
+            request=request,
+            status=RequestStatus.OK,
+            replica=None if primary else replica.name,
+        )
+        template, hit = None, False
+        clock, started = "check_s", time.perf_counter()
+        try:
+            if primary:
+                if resolved is not None:
+                    try:
+                        template, hit = get_or_build_template(
+                            db, resolved[0], resolved[1], session, mode, resolved[2]
+                        )
+                    except PreparedFallback:
+                        self.metrics.counter("prepared_fallbacks").inc()
+                self._fire_chaos("gateway.before_check")
+                if hit:
+                    self._fire_chaos("prepared.hit")
+            if template is None and query is None:
+                query = bind_skeleton(resolved[0], resolved[1])
+            to_execute = query
+            if mode == "non-truman":
+                cache = data_version = None
+                if primary:
+                    # the version observed under the read lock is the
+                    # version the decision is derived from
+                    cache = self.cache
+                    data_version, _ = cache.current_versions()
+                decision = decide(
+                    db, session, query, resolved, cache, data_version, ctx
+                )
+                response.decision = decision
+                response.cache_hit = decision.from_cache
                 if not decision.valid:
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.REJECTED,
-                        decision=decision,
-                        error=(
-                            "query rejected by Non-Truman model: "
-                            f"{decision.reason}"
-                        ),
-                        replica=replica.name,
+                    response.status = RequestStatus.REJECTED
+                    response.error = (
+                        f"query rejected by Non-Truman model: {decision.reason}"
                     )
-                to_execute, execute_mode = query, "open"
-            elif request.mode == "truman":
+            elif mode == "truman" and template is None:
                 from repro.truman.rewrite import truman_rewrite
 
-                try:
-                    to_execute = truman_rewrite(rdb, query, session)
-                except ReproError as exc:
-                    timing.check_s = time.perf_counter() - check_start
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.ERROR,
-                        error=str(exc),
-                        replica=replica.name,
+                to_execute = truman_rewrite(db, query, session)
+            timing.check_s = time.perf_counter() - started
+
+            if response.status is RequestStatus.OK:
+                # phase boundary: don't start executing an answer nobody
+                # is waiting for
+                ctx.check("phase boundary before execution")
+                self._fire_chaos("gateway.before_execute")
+                if template is not None:
+                    self._fire_chaos("prepared.bind")
+                clock, started = "execute_s", time.perf_counter()
+                if template is not None:
+                    response.result = run_template(
+                        db, template, resolved[1], session, request.engine, ctx
                     )
-                timing.check_s = time.perf_counter() - check_start
-                execute_mode = "open"
-            else:
-                to_execute, execute_mode = query, request.mode
-                timing.check_s = time.perf_counter() - check_start
-
-            ctx.check("phase boundary before execution")
-            self._fire_chaos("gateway.before_execute")
-            execute_start = time.perf_counter()
-            try:
-                result = rdb.execute_query(
-                    to_execute,
-                    session=session,
-                    mode=execute_mode,
-                    engine=request.engine,
-                    ctx=ctx,
-                )
-            except QueryAborted:
-                timing.execute_s = time.perf_counter() - execute_start
-                raise
-            except ReproError as exc:
-                timing.execute_s = time.perf_counter() - execute_start
-                return QueryResponse(
-                    request=request,
-                    status=RequestStatus.ERROR,
-                    decision=decision,
-                    error=str(exc),
-                    replica=replica.name,
-                )
-            timing.execute_s = time.perf_counter() - execute_start
-        return QueryResponse(
-            request=request,
-            status=RequestStatus.OK,
-            result=result,
-            decision=decision,
-            replica=replica.name,
-        )
-
-    def _process_prepared(
-        self,
-        request: QueryRequest,
-        resolved: tuple,
-        session,
-        timing: Timing,
-        ctx: QueryContext,
-    ) -> QueryResponse:
-        """The §5.6 template path: signature → template → bind → run.
-
-        Raises :class:`PreparedFallback` (before any user-visible
-        effect) when the query cannot be templated; the caller re-runs
-        the fresh path, so behavior — including error messages — is
-        preserved bit-for-bit.
-        """
-        skeleton, literals, signature_text = resolved
-        check_start = time.perf_counter()
-        template, hit = get_or_build_template(
-            self.db, skeleton, literals, session, request.mode, signature_text
-        )
-        self._fire_chaos("gateway.before_check")
-        if hit:
-            self._fire_chaos("prepared.hit")
-        decision: Optional[ValidityDecision] = None
-        cache_hit = False
-        if request.mode == "non-truman":
-            # same shared cache (and the same signature keys) as the
-            # fresh path, so prepared and plain requests for one query
-            # share a single decision entry
-            data_version, _ = self.cache.current_versions()
-            cached = self.cache.lookup_signed(
-                session.user,
-                skeleton,
-                literals,
-                session.user_id,
-                data_version=data_version,
-            )
-            if cached is not None:
-                validity, reason = cached
-                decision = ValidityDecision(
-                    validity=validity, reason=reason, from_cache=True
-                )
-                cache_hit = True
-            else:
-                bound = bind_skeleton(skeleton, literals)
-                try:
-                    decision = self.db.check_validity(bound, session, ctx=ctx)
-                except QueryAborted:
-                    timing.check_s = time.perf_counter() - check_start
-                    raise  # unwound with nothing cached
-                except ReproError as exc:
-                    timing.check_s = time.perf_counter() - check_start
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.ERROR,
-                        error=str(exc),
-                        prepared=True,
+                else:
+                    response.result = db.execute_query(
+                        to_execute,
+                        session=session,
+                        mode="open" if mode in ("non-truman", "truman") else mode,
+                        engine=request.engine,
+                        ctx=ctx,
                     )
-                self.cache.store_signed(
-                    session.user,
-                    skeleton,
-                    literals,
-                    session.user_id,
-                    decision.validity,
-                    decision.reason,
-                    data_version=data_version,
-                )
-            timing.check_s = time.perf_counter() - check_start
-            if not decision.valid:
-                return QueryResponse(
-                    request=request,
-                    status=RequestStatus.REJECTED,
-                    decision=decision,
-                    cache_hit=cache_hit,
-                    prepared=True,
-                    error=(
-                        "query rejected by Non-Truman model: "
-                        f"{decision.reason}"
-                    ),
-                )
-        else:
-            timing.check_s = time.perf_counter() - check_start
-
-        # phase boundary: don't start executing an answer nobody is
-        # waiting for
-        ctx.check("phase boundary before execution")
-
-        self._fire_chaos("gateway.before_execute")
-        self._fire_chaos("prepared.bind")
-        execute_start = time.perf_counter()
-        plan = template.binder.bind(literals)
-        try:
-            result = self.db.run_plan(
-                plan,
-                session=session,
-                engine=request.engine,
-                ctx=ctx,
-                optimize=False,
-                compile_cache=template.compile_cache,
-            )
-        except QueryAborted:
-            timing.execute_s = time.perf_counter() - execute_start
+                timing.execute_s = time.perf_counter() - started
+        except (QueryAborted, TransientFault):
+            # a deadline, cancel or budget abort, or a fault injected at
+            # a fire point: unwinds to the retry loop with nothing cached
+            setattr(timing, clock, time.perf_counter() - started)
             raise
         except ReproError as exc:
-            timing.execute_s = time.perf_counter() - execute_start
-            return QueryResponse(
-                request=request,
-                status=RequestStatus.ERROR,
-                decision=decision,
-                cache_hit=cache_hit,
-                prepared=True,
-                error=str(exc),
-            )
-        timing.execute_s = time.perf_counter() - execute_start
-        return QueryResponse(
-            request=request,
-            status=RequestStatus.OK,
-            result=result,
-            decision=decision,
-            cache_hit=cache_hit,
-            prepared=True,
-        )
-
-    def _process_query_fresh(
-        self,
-        request: QueryRequest,
-        query: ast.QueryExpr,
-        session,
-        timing: Timing,
-        ctx: QueryContext,
-    ) -> QueryResponse:
-        decision: Optional[ValidityDecision] = None
-        cache_hit = False
-
-        self._fire_chaos("gateway.before_check")
-        check_start = time.perf_counter()
-        if request.mode == "non-truman":
-            # the version observed under the read lock is the
-            # version the decision is derived from
-            data_version, _ = self.cache.current_versions()
-            cached = self.cache.lookup(
-                session.user, query, session.user_id
-            )
-            if cached is not None:
-                validity, reason = cached
-                decision = ValidityDecision(
-                    validity=validity, reason=reason, from_cache=True
-                )
-                cache_hit = True
-            else:
-                try:
-                    decision = self.db.check_validity(
-                        query, session, ctx=ctx
-                    )
-                except QueryAborted:
-                    timing.check_s = time.perf_counter() - check_start
-                    raise  # unwound with nothing cached
-                except ReproError as exc:
-                    timing.check_s = time.perf_counter() - check_start
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.ERROR,
-                        error=str(exc),
-                    )
-                self.cache.store(
-                    session.user,
-                    query,
-                    session.user_id,
-                    decision.validity,
-                    decision.reason,
-                    data_version=data_version,
-                )
-            timing.check_s = time.perf_counter() - check_start
-            if not decision.valid:
-                return QueryResponse(
-                    request=request,
-                    status=RequestStatus.REJECTED,
-                    decision=decision,
-                    cache_hit=cache_hit,
-                    error=(
-                        "query rejected by Non-Truman model: "
-                        f"{decision.reason}"
-                    ),
-                )
-            to_execute, execute_mode = query, "open"
-        elif request.mode == "truman":
-            from repro.truman.rewrite import truman_rewrite
-
-            try:
-                to_execute = truman_rewrite(self.db, query, session)
-            except ReproError as exc:
-                timing.check_s = time.perf_counter() - check_start
-                return QueryResponse(
-                    request=request,
-                    status=RequestStatus.ERROR,
-                    error=str(exc),
-                )
-            timing.check_s = time.perf_counter() - check_start
-            execute_mode = "open"
-        else:  # open / motro execute directly under that mode
-            to_execute, execute_mode = query, request.mode
-            timing.check_s = time.perf_counter() - check_start
-
-        # phase boundary: don't start executing an answer
-        # nobody is waiting for
-        ctx.check("phase boundary before execution")
-
-        self._fire_chaos("gateway.before_execute")
-        execute_start = time.perf_counter()
-        try:
-            result = self.db.execute_query(
-                to_execute,
-                session=session,
-                mode=execute_mode,
-                engine=request.engine,
-                ctx=ctx,
-            )
-        except QueryAborted:
-            timing.execute_s = time.perf_counter() - execute_start
-            raise
-        except ReproError as exc:
-            timing.execute_s = time.perf_counter() - execute_start
-            return QueryResponse(
-                request=request,
-                status=RequestStatus.ERROR,
-                decision=decision,
-                cache_hit=cache_hit,
-                error=str(exc),
-            )
-        timing.execute_s = time.perf_counter() - execute_start
-        return QueryResponse(
-            request=request,
-            status=RequestStatus.OK,
-            result=result,
-            decision=decision,
-            cache_hit=cache_hit,
-        )
+            setattr(timing, clock, time.perf_counter() - started)
+            response.status = RequestStatus.ERROR
+            response.error = str(exc)
+        if template is not None:
+            response.prepared = True
+            self.metrics.counter("prepared_requests").inc()
+        return response
 
     # -- accounting ------------------------------------------------------
 
@@ -1215,11 +973,9 @@ class EnforcementGateway:
         self.audit.record(
             user=request.user,
             mode=request.mode,
-            # the prepared path stamps the signature it already holds;
-            # re-deriving it here would re-parse on the zero-parse path
-            signature=response.signature
-            if response.signature is not None
-            else self._signature(request.sql),
+            # derived once in _process from the statement parsed there;
+            # a fault that escaped it falls back to the raw text
+            signature=response.signature or request.sql,
             status=response.status.value,
             decision="" if decision is None else decision.validity.value,
             rules=()
@@ -1230,18 +986,6 @@ class EnforcementGateway:
             error=response.error,
             tag=request.tag,
         )
-
-    @staticmethod
-    def _signature(sql: str) -> str:
-        """Literal-stripped rendering of the request for the audit log."""
-        try:
-            statement = parse_statement(sql)
-            if isinstance(statement, ast.QueryExpr):
-                skeleton, _ = query_signature(statement)
-                return render(skeleton)
-        except ReproError:
-            pass
-        return sql
 
     # -- observability ---------------------------------------------------
 

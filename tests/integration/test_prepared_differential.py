@@ -138,7 +138,7 @@ class TestPaperExamplesDifferential:
         """The decision object a cached template serves must agree with
         a fresh check: same validity, same reason."""
         from repro.prepared.pipeline import (
-            decide_prepared,
+            decide,
             get_or_build_template,
             resolve_signature,
         )
@@ -149,11 +149,15 @@ class TestPaperExamplesDifferential:
             template, _ = get_or_build_template(
                 university, skeleton, literals, session, "non-truman", text
             )
-            first = decide_prepared(
-                university, template, skeleton, literals, session
-            )
-            again = decide_prepared(
-                university, template, skeleton, literals, session
+            first, again = (
+                decide(
+                    university,
+                    session,
+                    resolved=(skeleton, literals),
+                    cache=template.decisions,
+                    data_version=university.validity_cache.data_version,
+                )
+                for _ in range(2)
             )
             fresh = university.check_validity(sql, session)
             assert again.from_cache
