@@ -52,11 +52,12 @@ class Catalog:
         #: keys); these need explicit persistence — FK-derived ones are
         #: rebuilt when the CREATE TABLE DDL replays
         self._manual_participations: list[TotalParticipation] = []
-        #: bumped on every view-registry change; cached validity
-        #: decisions (repro.service) are dropped when this moves
+        #: bumped on every view-registry change
         self._views_version = 0
-        #: bumped on every DDL change (table or view); prepared
-        #: templates (repro.prepared) are stamped with this epoch
+        #: bumped on every DDL change (table or view) and on every
+        #: declared participation constraint (rule U3 consumes those);
+        #: cached validity decisions (repro.prepared.decide) are stamped
+        #: with it
         self._schema_version = 0
         #: per-relation DDL counters for *exact* prepared-template
         #: invalidation: a template depends only on the relations it
@@ -200,6 +201,7 @@ class Catalog:
     def add_participation(self, constraint: TotalParticipation) -> None:
         self._participations.append(constraint)
         self._manual_participations.append(constraint)
+        self._schema_version += 1
 
     def manual_participations(self) -> list[TotalParticipation]:
         return list(self._manual_participations)

@@ -200,8 +200,9 @@ class Database:
         self.vpd_policies = VpdPolicySet()
         #: lazily-created validity checker (Non-Truman model)
         self._checker = None
-        #: validity-decision cache (Section 5.6 optimization); shared
-        #: across sessions, keyed on (user, query signature)
+        #: the validity-decision cache (Section 5.6 optimization), shared
+        #: by every session and gateway over this database; also owns
+        #: the data-version counter
         from repro.nontruman.cache import ValidityCache
 
         self.validity_cache = ValidityCache()
@@ -308,7 +309,7 @@ class Database:
 
         Keyword arguments are forwarded to
         :class:`repro.service.EnforcementGateway` (``workers``,
-        ``queue_size``, ``cache_shards``, ...).  The caller owns the
+        ``queue_size``, ``default_deadline``, ...).  The caller owns the
         gateway and should ``shutdown()`` it (or use it as a context
         manager).
         """
@@ -517,8 +518,7 @@ class Database:
                 session,
                 query,
                 resolved,
-                cache=None if template is None else template.decisions,
-                data_version=self.validity_cache.data_version,
+                context=None if template is None else template.params_key[1],
                 ctx=ctx,
             )
             if not decision.valid:

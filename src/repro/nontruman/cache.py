@@ -1,29 +1,33 @@
-"""Validity-decision caching (paper Section 5.6, "Optimizations of
+"""The validity-decision cache (paper Section 5.6, "Optimizations of
 Validity Checking").
 
-Two mechanisms from the paper:
+Each :class:`~repro.db.Database` owns exactly one :class:`ValidityCache`
+(``db.validity_cache``); every serving path reaches it through
+:func:`repro.prepared.decide`.  Two mechanisms from the paper:
 
 * **Session caching** — "if the same query is reissued multiple times in
-  a session, we can cache the results of the validity check".  We key on
-  (user, exact query AST).
+  a session, we can cache the results of the validity check".
 * **Prepared statements** — "for ODBC/JDBC prepared statements, we can
   analyze the query without the actual parameters ... and come up with a
-  cheap test that is used each time the query is executed".  We support
-  this by caching on a *parameter-stripped signature*: literals in the
-  query are replaced by placeholders, and the cached entry records which
-  placeholder positions must equal which session parameters for the
-  cached decision to carry over.
+  cheap test that is used each time the query is executed".  Entries are
+  keyed on a *parameter-stripped signature*: literals in the query are
+  replaced by placeholders, and the entry records which placeholder
+  positions must equal ``$user_id`` for the decision to carry over.
 
-Conditional decisions depend on the database state, so cache entries
-are stamped with a data-version counter and dropped when underlying
-data changes.
+**Key**: ``(user, context, skeleton)`` — the instantiated authorization
+views depend on every session parameter (§3.1), so the parameters other
+than ``$user_id`` (``$time``, ``$location``, extras) are part of the
+key.  **Stamp**: ``(data_version, policy_epoch)`` observed before the
+check ran.  The epoch covers everything a decision is derived from
+besides the data — grants, view and table definitions, declared
+integrity constraints — and must match exactly; the data version must
+match unless the decision is UNCONDITIONAL (conditional acceptances
+*and* rejections depend on the database state).
 
-The cache is safe for concurrent readers and writers: every structural
-operation (lookup, store, eviction, version bump) happens under one
-re-entrant lock, so the enforcement gateway (:mod:`repro.service`) can
-share instances across worker threads.  An optional ``max_entries``
-bound turns the entry map into an LRU: lookups refresh recency, stores
-evict the least-recently-used entry on overflow.
+Every structural operation happens under one re-entrant lock, so the
+enforcement gateway's workers share the instance.  The entry map is an
+LRU: lookups refresh recency, stores evict the least-recently-used
+entry on overflow.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ from typing import Optional
 
 from repro.sql import ast
 from repro.algebra import expr as exprs
-from repro.nontruman.decision import ValidityDecision, Validity
+from repro.nontruman.decision import Validity
+
+
+#: decisions one database remembers before LRU eviction
+DECISION_CACHE_CAPACITY = 4096
 
 
 def query_signature(query: ast.QueryExpr) -> tuple:
@@ -69,7 +77,8 @@ class _Entry:
     literals: tuple
     #: indices (into the literal tuple) that must match the session user
     user_positions: frozenset[int]
-    data_version: int
+    #: ``(data_version, policy_epoch)`` observed before the check ran
+    stamp: tuple
 
 
 def entry_matches(
@@ -96,19 +105,20 @@ def entry_matches(
 
 
 class ValidityCache:
-    """Decision cache with exact and prepared-signature lookups.
+    """The LRU-bounded, thread-safe decision cache of one database."""
 
-    Thread-safe; optionally LRU-bounded via ``max_entries``.
-    """
-
-    def __init__(self, max_entries: Optional[int] = None):
+    def __init__(self, max_entries: int = DECISION_CACHE_CAPACITY):
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._lock = threading.RLock()
         self._data_version = 0
+        #: policy epoch of the last lookup; None before the first one
+        self._epoch: Optional[tuple] = None
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: times a moved policy epoch emptied the cache
+        self.policy_invalidations = 0
 
     @property
     def data_version(self) -> int:
@@ -116,7 +126,8 @@ class ValidityCache:
             return self._data_version
 
     def invalidate_data(self) -> None:
-        """Call on any data change; drops conditional decisions."""
+        """Call on any data change; retires conditional decisions and
+        rejections."""
         with self._lock:
             self._data_version += 1
 
@@ -132,47 +143,36 @@ class ValidityCache:
 
     # ------------------------------------------------------------------
 
-    def _key(self, user: Optional[str], skeleton: ast.QueryExpr) -> tuple:
-        return (user, skeleton)
-
     def lookup(
-        self, user: Optional[str], query: ast.QueryExpr, user_value: object
+        self, key: tuple, literals: tuple, user_value: object, stamp: tuple
     ) -> Optional[tuple[Validity, str]]:
-        skeleton, literals = query_signature(query)
-        return self.lookup_signed(user, skeleton, literals, user_value)
-
-    def lookup_signed(
-        self,
-        user: Optional[str],
-        skeleton: ast.QueryExpr,
-        literals: tuple,
-        user_value: object,
-        data_version: Optional[int] = None,
-    ) -> Optional[tuple[Validity, str]]:
-        """Lookup with a precomputed :func:`query_signature`.
-
-        ``data_version`` overrides the cache's own counter, letting a
-        process-wide cache validate entries against an external
-        (database-owned) version source.
-        """
-        key = self._key(user, skeleton)
+        """The decision stored under ``key`` if it carries over to
+        ``literals`` and is still valid at ``stamp`` — the database's
+        current ``(data_version, policy_epoch)``."""
         with self._lock:
-            version = self._data_version if data_version is None else data_version
+            if stamp[1] != self._epoch:
+                # GRANT / REVOKE / DDL / a declared constraint changes
+                # what is answerable at all: nothing stored survives
+                if self._epoch is not None:
+                    self._entries.clear()
+                    self.policy_invalidations += 1
+                self._epoch = stamp[1]
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
             # Conditional validity depends on the database state, and so do
             # rejections (a query invalid today may become conditionally
             # valid after an insert — Example 4.2's enrollment threshold).
-            # Only UNCONDITIONAL acceptances are state-independent.
+            # Only UNCONDITIONAL acceptances are state-independent.  The
+            # epoch is compared per entry too: a store racing a policy
+            # change lands after the clear above with its old stamp.
             if (
-                entry.validity is not Validity.UNCONDITIONAL
-                and entry.data_version != version
+                entry is None
+                or entry.stamp[1] != stamp[1]
+                or (
+                    entry.validity is not Validity.UNCONDITIONAL
+                    and entry.stamp[0] != stamp[0]
+                )
+                or not entry_matches(entry, literals, user_value)
             ):
-                self.misses += 1
-                return None
-            if not entry_matches(entry, literals, user_value):
                 self.misses += 1
                 return None
             self.hits += 1
@@ -181,51 +181,42 @@ class ValidityCache:
 
     def store(
         self,
-        user: Optional[str],
-        query: ast.QueryExpr,
-        user_value: object,
-        validity: Validity,
-        reason: str,
-    ) -> None:
-        skeleton, literals = query_signature(query)
-        self.store_signed(user, skeleton, literals, user_value, validity, reason)
-
-    def store_signed(
-        self,
-        user: Optional[str],
-        skeleton: ast.QueryExpr,
+        key: tuple,
         literals: tuple,
         user_value: object,
         validity: Validity,
         reason: str,
-        data_version: Optional[int] = None,
+        stamp: tuple,
     ) -> None:
-        """Store with a precomputed signature (see :meth:`lookup_signed`).
-
-        Pass the ``data_version`` observed *before* the validity check
-        ran: if a concurrent data change bumped the version mid-check,
-        the entry is stored already-stale and treated as a miss later.
-        """
+        """Remember a decision.  ``stamp`` is the one observed *before*
+        the validity check ran: if a concurrent data or policy change
+        moved it mid-check, the entry is stored already-stale and
+        treated as a miss later."""
         user_positions = frozenset(
             index for index, value in enumerate(literals) if value == user_value
         )
-        key = self._key(user, skeleton)
         with self._lock:
-            version = self._data_version if data_version is None else data_version
             self._entries[key] = _Entry(
-                validity=validity,
-                reason=reason,
-                literals=literals,
-                user_positions=user_positions,
-                data_version=version,
+                validity, reason, literals, user_positions, stamp
             )
             self._entries.move_to_end(key)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     @property
     def size(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def stats(self) -> dict[str, object]:
+        with self._lock:
+            total = self.hits + self.misses
+            return {
+                "cache_entries": len(self._entries),
+                "cache_hits": self.hits,
+                "cache_misses": self.misses,
+                "cache_hit_rate": round(self.hits / total, 4) if total else 0.0,
+                "cache_evictions": self.evictions,
+                "cache_policy_invalidations": self.policy_invalidations,
+            }

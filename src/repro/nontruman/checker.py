@@ -98,22 +98,17 @@ class ValidityChecker:
 
         COUNTERS.bump("validity.check")
         if self.use_cache:
-            cached = self.db.validity_cache.lookup(
-                session.user, query, session.user_id
-            )
-            if cached is not None:
-                validity, reason = cached
-                return ValidityDecision(
-                    validity=validity, reason=reason, from_cache=True
-                )
+            from repro.prepared.pipeline import context_key, decide
 
-        decision = self._check_fresh(query, session, ctx)
-
-        if self.use_cache:
-            self.db.validity_cache.store(
-                session.user, query, session.user_id, decision.validity, decision.reason
+            return decide(
+                self.db,
+                session,
+                query,
+                context=context_key(session),
+                ctx=ctx,
+                check=self._check_fresh,
             )
-        return decision
+        return self._check_fresh(query, session, ctx)
 
     def _check_fresh(
         self, query: ast.QueryExpr, session: SessionContext, ctx=None

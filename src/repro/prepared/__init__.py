@@ -1,18 +1,19 @@
 """Prepared statements (paper §5.6): compile once, bind per request.
 
 ``repro.prepared`` caches the full compiled artifact of a query —
-literal-stripped skeleton AST, translated algebra plan, Non-Truman
-validity decisions, and vectorized kernels — keyed on
-``(signature, user, mode, session params)`` and stamped with exact
-policy/DDL version counters, so a hot repeated query skips
-parse → check → plan entirely while remaining observationally identical
-to fresh execution.  See :mod:`repro.prepared.cache` for the
-invalidation invariants.
+literal-stripped skeleton AST, translated algebra plan, and vectorized
+kernels — keyed on ``(signature, user, mode, session params)`` and
+stamped with exact policy/DDL version counters; :func:`decide` serves
+the Non-Truman decision from the database's decision cache.  A hot
+repeated query skips parse → check → plan entirely while remaining
+observationally identical to fresh execution.  See
+:mod:`repro.prepared.cache` for the invalidation invariants.
 """
 
 from repro.prepared.cache import PreparedStatementCache
 from repro.prepared.pipeline import (
     PREPARABLE_MODES,
+    context_key,
     decide,
     get_or_build_template,
     resolve_signature,
@@ -35,6 +36,7 @@ __all__ = [
     "PreparedStatementCache",
     "PreparedTemplate",
     "bind_skeleton",
+    "context_key",
     "decide",
     "get_or_build_template",
     "placeholder_names",

@@ -24,9 +24,8 @@ with the version counters of precisely the state it was compiled from:
 A template is validated against the live counters on every lookup, so
 even without the proactive ``invalidate_*`` hooks a stale template can
 never be served; the hooks merely evict eagerly so the stats stay
-honest.  Validity decisions inside a template are additionally stamped
-with the database data version (conditional decisions and rejections
-are state-dependent; see :mod:`repro.nontruman.cache`).
+honest.  A template holds no validity decisions: those live in the
+database's decision cache (:mod:`repro.nontruman.cache`).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ gateway's ``_serve`` both compose (DESIGN.md, "Request pipeline"):
 * :func:`resolve_signature` — SQL text (or parsed query) to
   ``(skeleton, literals, signature_text)``, memoized per text.
 * :func:`get_or_build_template` — the template-cache lookup/build.
-* :func:`decide` — the Non-Truman decision, served from the caller's
+* :func:`decide` — the Non-Truman decision, served from the database's
   decision cache when the paper's §5.6 carry-over rule applies.
 * :func:`run_template` — bind the literals into the plan and run it.
 
@@ -137,16 +137,33 @@ def collect_relations(db, query: ast.QueryExpr, mode: str) -> frozenset:
     return frozenset(names)
 
 
-def params_key_for(session) -> tuple:
-    """Hashable canonical form of the session's ``$param`` values (they
-    are substituted into the plan at template-build time, so they are
-    part of the cache key)."""
-    items = tuple(sorted(session.param_values().items(), key=lambda kv: kv[0]))
+def _hashable(value) -> bool:
     try:
-        hash(items)
+        hash(value)
     except TypeError:
+        return False
+    return True
+
+
+def context_key(session) -> Optional[tuple]:
+    """Hashable canonical form of the session's ``$param`` values other
+    than ``$user_id`` (``$time``, ``$location``, extras): the part of a
+    decision's key that the §5.6 carry-over rule does not cover.  None
+    when a value is unhashable — such a session is not cached."""
+    items = tuple(
+        sorted(kv for kv in session.param_values().items() if kv[0] != "user_id")
+    )
+    return items if _hashable(items) else None
+
+
+def params_key_for(session) -> tuple:
+    """``(user_id, context_key)``: all the session's ``$param`` values
+    (they are substituted into the plan at template-build time, so they
+    are part of the cache key)."""
+    context = context_key(session)
+    if context is None or not _hashable(session.user_id):
         raise PreparedFallback("unhashable session parameter values")
-    return items
+    return session.user_id, context
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +194,7 @@ def _sign_query(query: ast.QueryExpr) -> tuple:
         # raises the proper ParameterError or binds them explicitly
         raise PreparedFallback("query uses access-pattern parameters")
     skeleton, literals = query_signature(query)
-    try:
-        hash(skeleton)
-        hash(literals)
-    except TypeError:
+    if not _hashable((skeleton, literals)):
         raise PreparedFallback("unhashable query signature")
     return skeleton, literals, render(skeleton)
 
@@ -242,10 +256,7 @@ def _build_template(
     # arrival (a later lookup re-validates and evicts), never
     # accidentally fresh.
     grant_version = db.grants.user_version(session.user)
-    schema_version = db.catalog.schema_version
     vpd_version = db.vpd_policies.version
-    policy_epoch = (db.grants.version, db.catalog.views_version)
-    data_version = db.validity_cache.data_version
 
     exec_query = skeleton
     if mode == "truman":
@@ -309,7 +320,7 @@ def _build_template(
     binder = PlanBinder(plan, names)
     if signature_text is None:
         signature_text = render(skeleton)
-    template = PreparedTemplate(
+    return PreparedTemplate(
         skeleton=skeleton,
         user=session.user,
         mode=mode,
@@ -318,15 +329,9 @@ def _build_template(
         n_literals=len(literals),
         grant_version=grant_version,
         relation_versions=relation_versions,
-        schema_version=schema_version,
-        policy_epoch=policy_epoch,
         vpd_version=vpd_version,
         binder=binder,
     )
-    # seed the decision data-version floor (purely informational here;
-    # decisions are stamped individually on store)
-    template.decisions.restore_data_version(data_version)
-    return template
 
 
 # ---------------------------------------------------------------------------
@@ -335,45 +340,50 @@ def _build_template(
 
 
 def decide(
-    db, session, query=None, resolved=None, cache=None, data_version=None, ctx=None
+    db, session, query=None, resolved=None, context=None, ctx=None, check=None
 ) -> ValidityDecision:
-    """The one place a Non-Truman decision is taken: decision-cache
-    lookup -> ``db.check_validity`` -> store.
+    """The one place a Non-Truman decision is taken and remembered:
+    ``db.validity_cache`` lookup -> ``db.check_validity`` -> store.
 
-    ``cache`` is whichever decision cache the caller owns — the
-    gateway's shared cache, a template's embedded one (§5.6 carry-over
-    rule), or None (replica-served reads, unprepared in-process calls).
+    ``context`` is the session's :func:`context_key` (a template carries
+    it as ``params_key[1]``); None leaves the cache out — replica-served
+    reads, unprepared in-process calls, unhashable session parameters.
     ``resolved`` is the ``(skeleton, literals, ...)`` signature when the
     caller already holds it; otherwise ``query`` is signed here, once.
-    ``data_version`` must be the version observed *before* the check,
-    so that a write racing the inference leaves the stored entry stale.
-    An aborted check (deadline, cancel) raises through and stores
-    nothing.
+    ``check`` replaces ``db.check_validity`` for a caller that is itself
+    the checker.  An aborted check (deadline, cancel) raises through and
+    stores nothing.
     """
     if resolved is not None:
         skeleton, literals = resolved[0], resolved[1]
-    elif cache is not None:
+    elif context is not None:
         skeleton, literals = query_signature(query)
-    if cache is not None:
-        cached = cache.lookup_signed(
-            session.user, skeleton, literals, session.user_id,
-            data_version=data_version,
+    if context is not None:
+        cache = db.validity_cache
+        key = (session.user, context, skeleton)
+        # Everything the decision is derived from besides its key, read
+        # once and *before* the check: a write or policy change racing
+        # the inference leaves the stored entry stale.  schema_version
+        # moves with every table, view and declared-constraint change.
+        stamp = (
+            cache.data_version,
+            (db.grants.version, db.catalog.schema_version),
         )
+        cached = cache.lookup(key, literals, session.user_id, stamp)
         if cached is not None:
             validity, reason = cached
             return ValidityDecision(validity=validity, reason=reason, from_cache=True)
     if query is None:
         query = bind_skeleton(skeleton, literals)
-    decision = db.check_validity(query, session, ctx=ctx)
-    if cache is not None:
-        cache.store_signed(
-            session.user,
-            skeleton,
+    decision = (check or db.check_validity)(query, session, ctx=ctx)
+    if context is not None:
+        cache.store(
+            key,
             literals,
             session.user_id,
             decision.validity,
             decision.reason,
-            data_version=data_version,
+            stamp,
         )
     return decision
 

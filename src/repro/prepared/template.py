@@ -2,11 +2,12 @@
 
 A *template* captures everything the engine computed for one
 literal-stripped query skeleton — the skeleton AST, the translated (and
-selection-pushed) algebra plan, cached validity decisions, and a
-compiled-kernel cache for the vectorized engine.  Serving a repeated
-query then reduces to substituting the new literals into the stored
-plan (:class:`PlanBinder`) and running it, with **zero** parse, check,
-or plan work.
+selection-pushed) algebra plan, and a compiled-kernel cache for the
+vectorized engine.  Serving a repeated query then reduces to
+substituting the new literals into the stored plan
+(:class:`PlanBinder`) and running it, with **zero** parse or plan work
+(the Non-Truman decision is remembered by the database's decision
+cache, :mod:`repro.nontruman.cache`).
 
 Binding happens at two levels:
 
@@ -30,7 +31,6 @@ from typing import Optional
 from repro.sql import ast
 from repro.algebra import expr as exprs
 from repro.algebra import ops
-from repro.nontruman.cache import ValidityCache
 
 
 class PreparedFallback(Exception):
@@ -304,12 +304,9 @@ class PreparedTemplate:
         "n_literals",
         "grant_version",
         "relation_versions",
-        "schema_version",
-        "policy_epoch",
         "vpd_version",
         "binder",
         "compile_cache",
-        "decisions",
     )
 
     def __init__(
@@ -322,8 +319,6 @@ class PreparedTemplate:
         n_literals: int,
         grant_version: tuple,
         relation_versions: tuple,
-        schema_version: int,
-        policy_epoch: tuple,
         vpd_version: int,
         binder: PlanBinder,
     ):
@@ -335,15 +330,9 @@ class PreparedTemplate:
         self.n_literals = n_literals
         self.grant_version = grant_version
         self.relation_versions = relation_versions
-        self.schema_version = schema_version
-        self.policy_epoch = policy_epoch
         self.vpd_version = vpd_version
         self.binder = binder
         self.compile_cache = PlanCompileCache(binder.cacheable_ids)
-        #: cached Non-Truman decisions for this slot; reuses the §5.6
-        #: literal-carry-over rule (entry_matches) and data-version
-        #: stamping of the session cache verbatim
-        self.decisions = ValidityCache(max_entries=8)
 
     def references(self, relation: str) -> bool:
         key = relation.lower()

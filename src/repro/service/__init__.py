@@ -2,9 +2,10 @@
 
 A thread-safe, multi-session front door over one
 :class:`~repro.db.Database`: worker pool, bounded admission queue with
-backpressure, per-request deadlines, per-user connection pooling, a
-process-wide sharded validity-decision cache, and an observability
-layer (structured audit log + metrics registry).
+backpressure, per-request deadlines, per-user connection pooling, and
+an observability layer (structured audit log + metrics registry).
+Validity decisions are remembered by the database's own decision cache
+(:mod:`repro.nontruman.cache`).
 
 Quickstart::
 
@@ -20,7 +21,6 @@ Quickstart::
 
 from repro.service.audit import AuditLog, AuditRecord
 from repro.service.breaker import CircuitBreaker
-from repro.service.cache import SharedValidityCache
 from repro.service.chaos import (
     ChaosInjector,
     FaultSpec,
@@ -56,7 +56,6 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "RequestStatus",
-    "SharedValidityCache",
     "State",
     "Timing",
 ]

@@ -45,11 +45,11 @@ Every request — answered, rejected, timed out, cancelled, degraded,
 overloaded, or felled by an internal fault — is audited exactly once.
 
 Consistency: queries (and the probes the validity checker runs) share
-a readers-writer lock; DML takes it exclusively.  The shared validity
-cache stamps every stored decision with the data version observed
-*while holding the read lock*, so a decision can never be derived from
-one database state and served against another.  An aborted check
-(timeout/cancel) stores nothing.
+a readers-writer lock; DML takes it exclusively.  The database's
+decision cache stamps every stored decision with the data version and
+policy epoch observed *while holding the read lock*, so a decision can
+never be derived from one database state and served against another.
+An aborted check (timeout/cancel) stores nothing.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ from repro.prepared import (
     PREPARABLE_MODES,
     PreparedFallback,
     bind_skeleton,
+    context_key,
     decide,
     get_or_build_template,
     resolve_signature,
@@ -89,7 +90,6 @@ from repro.prepared import (
 )
 from repro.service.audit import AuditLog
 from repro.service.breaker import CircuitBreaker
-from repro.service.cache import SharedValidityCache
 from repro.service.clock import SYSTEM_CLOCK, Clock
 from repro.service.context import QueryContext
 from repro.service.metrics import MetricsRegistry
@@ -217,8 +217,6 @@ class EnforcementGateway:
         db: "Database",
         workers: int = 4,
         queue_size: int = 64,
-        cache_shards: int = 8,
-        cache_capacity_per_shard: int = 512,
         audit_capacity: int = 2048,
         max_idle_per_user: int = 8,
         name: str = "gateway",
@@ -244,11 +242,8 @@ class EnforcementGateway:
         #: templating of plain SQL text)
         self.prepared_statements = prepared_statements
         self.pool = ConnectionPool(db, max_idle_per_key=max_idle_per_user)
-        self.cache = SharedValidityCache(
-            shards=cache_shards,
-            capacity_per_shard=cache_capacity_per_shard,
-            version_source=self._versions,
-        )
+        #: the database's decision cache (for stats and tests)
+        self.cache = db.validity_cache
         self.metrics = MetricsRegistry()
         self.audit = AuditLog(capacity=audit_capacity, clock=self.clock)
         self.queue_size = queue_size
@@ -300,15 +295,6 @@ class EnforcementGateway:
         ]
         for worker in self._workers:
             worker.start()
-
-    # -- database version plumbing --------------------------------------
-
-    def _versions(self) -> tuple[int, object]:
-        """(data version, policy epoch) of the underlying database."""
-        return (
-            self.db.validity_cache.data_version,
-            (self.db.grants.version, self.db.catalog.views_version),
-        )
 
     def _breaker_transition(self, old: str, new: str) -> None:
         self.metrics.state("breaker_state").set(new)
@@ -857,9 +843,8 @@ class EnforcementGateway:
         A replica is the same function over ``replica.database``: it
         re-enforces policy itself (its grants / Truman views / VPD
         predicates are rebuilt from shipped WAL records), so the outcome
-        is the primary's and only the serving node differs.  The
-        gateway's template and decision caches are stamped with the
-        primary's versions and are not consulted there.
+        is the primary's and only the serving node differs.  Neither its
+        template cache nor its decision cache is consulted.
         """
         mode = request.mode
         primary = replica is None
@@ -886,15 +871,14 @@ class EnforcementGateway:
                 query = bind_skeleton(resolved[0], resolved[1])
             to_execute = query
             if mode == "non-truman":
-                cache = data_version = None
+                context = None
                 if primary:
-                    # the version observed under the read lock is the
-                    # version the decision is derived from
-                    cache = self.cache
-                    data_version, _ = cache.current_versions()
-                decision = decide(
-                    db, session, query, resolved, cache, data_version, ctx
-                )
+                    context = (
+                        context_key(session)
+                        if template is None
+                        else template.params_key[1]
+                    )
+                decision = decide(db, session, query, resolved, context, ctx)
                 response.decision = decision
                 response.cache_hit = decision.from_cache
                 if not decision.valid:

@@ -154,8 +154,7 @@ class TestPaperExamplesDifferential:
                     university,
                     session,
                     resolved=(skeleton, literals),
-                    cache=template.decisions,
-                    data_version=university.validity_cache.data_version,
+                    context=template.params_key[1],
                 )
                 for _ in range(2)
             )

@@ -2,7 +2,11 @@
 
 from repro.db import Database
 from repro.sql import parse_query
-from repro.nontruman.cache import ValidityCache, query_signature
+from repro.nontruman.cache import (
+    DECISION_CACHE_CAPACITY,
+    ValidityCache,
+    query_signature,
+)
 from repro.nontruman.checker import ValidityChecker
 from repro.nontruman.decision import Validity
 from repro.nontruman.pruning import is_relevant, prune_views, relation_names
@@ -24,111 +28,138 @@ class TestQuerySignature:
         assert a != b
 
 
+#: a fixed (data_version, policy_epoch) stamp for the cache-level units
+STAMP = (0, ("grants", 0))
+
+
+def key_of(sql, user="u", context=()):
+    """``(key, literals)`` the way :func:`repro.prepared.decide` forms them."""
+    skeleton, literals = query_signature(parse_query(sql))
+    return (user, context, skeleton), literals
+
+
+def put(cache, sql, user_value, validity, reason, user="u", stamp=STAMP):
+    key, literals = key_of(sql, user)
+    cache.store(key, literals, user_value, validity, reason, stamp)
+
+
+def get(cache, sql, user_value, user="u", stamp=STAMP):
+    key, literals = key_of(sql, user)
+    return cache.lookup(key, literals, user_value, stamp)
+
+
 class TestValidityCache:
     def test_exact_hit(self):
         cache = ValidityCache()
-        q = parse_query("select x from T where y = '11'")
-        cache.store("11", q, "11", Validity.UNCONDITIONAL, "ok")
-        assert cache.lookup("11", q, "11") == (Validity.UNCONDITIONAL, "ok")
+        q = "select x from T where y = '11'"
+        put(cache, q, "11", Validity.UNCONDITIONAL, "ok", user="11")
+        assert get(cache, q, "11", user="11") == (Validity.UNCONDITIONAL, "ok")
         assert cache.hits == 1
 
     def test_miss_for_other_user(self):
         cache = ValidityCache()
-        q = parse_query("select x from T where y = '11'")
-        cache.store("11", q, "11", Validity.UNCONDITIONAL, "ok")
-        assert cache.lookup("12", q, "12") is None
+        q = "select x from T where y = '11'"
+        put(cache, q, "11", Validity.UNCONDITIONAL, "ok", user="11")
+        assert get(cache, q, "12", user="12") is None
+
+    def test_miss_for_other_context(self):
+        """The instantiated views depend on every session parameter."""
+        cache = ValidityCache()
+        skeleton, literals = query_signature(parse_query("select x from T"))
+        early, late = (("time", 499),), (("time", 501),)
+        cache.store(
+            ("u", early, skeleton), literals, "u", Validity.UNCONDITIONAL, "ok", STAMP
+        )
+        assert cache.lookup(("u", early, skeleton), literals, "u", STAMP) is not None
+        assert cache.lookup(("u", late, skeleton), literals, "u", STAMP) is None
 
     def test_prepared_statement_reuse(self):
         """Same skeleton, the user-id literal position re-bound (§5.6)."""
         cache = ValidityCache()
-        q1 = parse_query("select x from T where owner = '11' and k = 5")
-        cache.store("u", q1, "11", Validity.UNCONDITIONAL, "ok")
+        put(
+            cache, "select x from T where owner = '11' and k = 5", "11",
+            Validity.UNCONDITIONAL, "ok",
+        )
         # same user value moved: accepted
-        q2 = parse_query("select x from T where owner = '11' and k = 5")
-        assert cache.lookup("u", q2, "11") is not None
+        assert get(cache, "select x from T where owner = '11' and k = 5", "11")
         # different constant in a non-user position: reject
-        q3 = parse_query("select x from T where owner = '11' and k = 6")
-        assert cache.lookup("u", q3, "11") is None
+        assert get(cache, "select x from T where owner = '11' and k = 6", "11") is None
         # user position follows the session's current user value
-        q4 = parse_query("select x from T where owner = '12' and k = 5")
-        assert cache.lookup("u", q4, "12") is not None
+        assert get(cache, "select x from T where owner = '12' and k = 5", "12")
 
     def test_conditional_invalidated_by_data_change(self):
         cache = ValidityCache()
-        q = parse_query("select x from T where y = 1")
-        cache.store("u", q, "u", Validity.CONDITIONAL, "probe ok")
-        assert cache.lookup("u", q, "u") is not None
-        cache.invalidate_data()
-        assert cache.lookup("u", q, "u") is None
+        q = "select x from T where y = 1"
+        put(cache, q, "u", Validity.CONDITIONAL, "probe ok")
+        assert get(cache, q, "u") is not None
+        assert get(cache, q, "u", stamp=(1, STAMP[1])) is None
 
     def test_unconditional_survives_data_change(self):
         cache = ValidityCache()
-        q = parse_query("select x from T where y = 1")
-        cache.store("u", q, "u", Validity.UNCONDITIONAL, "ok")
-        cache.invalidate_data()
-        assert cache.lookup("u", q, "u") is not None
+        q = "select x from T where y = 1"
+        put(cache, q, "u", Validity.UNCONDITIONAL, "ok")
+        assert get(cache, q, "u", stamp=(1, STAMP[1])) is not None
 
     def test_invalid_decisions_cacheable(self):
         cache = ValidityCache()
-        q = parse_query("select x from T")
-        cache.store("u", q, "u", Validity.INVALID, "no rewrite")
-        assert cache.lookup("u", q, "u") == (Validity.INVALID, "no rewrite")
+        put(cache, "select x from T", "u", Validity.INVALID, "no rewrite")
+        assert get(cache, "select x from T", "u") == (Validity.INVALID, "no rewrite")
 
     def test_invalid_decisions_invalidated_by_data_change(self):
         """A rejection can become a (conditional) acceptance after DML
         — e.g. Example 4.2's enrollment threshold being crossed — so
         INVALID entries must not outlive the data version either."""
         cache = ValidityCache()
-        q = parse_query("select x from T")
-        cache.store("u", q, "u", Validity.INVALID, "no rewrite")
-        cache.invalidate_data()
-        assert cache.lookup("u", q, "u") is None
+        put(cache, "select x from T", "u", Validity.INVALID, "no rewrite")
+        assert get(cache, "select x from T", "u", stamp=(1, STAMP[1])) is None
+
+    def test_nothing_survives_an_epoch_move(self):
+        """GRANT / REVOKE / DDL / a declared constraint: even
+        UNCONDITIONAL decisions are retired, and the move is counted."""
+        cache = ValidityCache()
+        put(cache, "select x from T", "u", Validity.UNCONDITIONAL, "ok")
+        assert get(cache, "select x from T", "u") is not None
+        assert get(cache, "select x from T", "u", stamp=(0, ("grants", 1))) is None
+        assert cache.size == 0
+        assert cache.policy_invalidations == 1
+
+    def test_store_with_a_stale_epoch_is_never_served(self):
+        """A check racing a policy change stores with the epoch it
+        observed before the change; the entry lands after the clear."""
+        cache = ValidityCache()
+        moved = (0, ("grants", 1))
+        assert get(cache, "select x from T", "u") is None
+        assert get(cache, "select x from T", "u", stamp=moved) is None
+        put(cache, "select x from T", "u", Validity.UNCONDITIONAL, "ok", stamp=STAMP)
+        assert get(cache, "select x from T", "u", stamp=moved) is None
 
 
 class TestLruBound:
     def test_eviction_order_is_least_recently_used(self):
         cache = ValidityCache(max_entries=2)
-        qa = parse_query("select a from T")
-        qb = parse_query("select b from T")
-        qc = parse_query("select c from T")
-        cache.store("u", qa, "u", Validity.UNCONDITIONAL, "a")
-        cache.store("u", qb, "u", Validity.UNCONDITIONAL, "b")
-        assert cache.lookup("u", qa, "u") is not None  # refresh a
-        cache.store("u", qc, "u", Validity.UNCONDITIONAL, "c")  # evicts b
+        put(cache, "select a from T", "u", Validity.UNCONDITIONAL, "a")
+        put(cache, "select b from T", "u", Validity.UNCONDITIONAL, "b")
+        assert get(cache, "select a from T", "u") is not None  # refresh a
+        put(cache, "select c from T", "u", Validity.UNCONDITIONAL, "c")  # evicts b
         assert cache.size == 2
         assert cache.evictions == 1
-        assert cache.lookup("u", qb, "u") is None
-        assert cache.lookup("u", qa, "u") is not None
-        assert cache.lookup("u", qc, "u") is not None
+        assert get(cache, "select b from T", "u") is None
+        assert get(cache, "select a from T", "u") is not None
+        assert get(cache, "select c from T", "u") is not None
 
-    def test_unbounded_by_default(self):
-        cache = ValidityCache()
-        for i in range(50):
-            cache.store(
-                "u", parse_query(f"select c{i} from T"), "u",
-                Validity.UNCONDITIONAL, "ok",
-            )
-        assert cache.size == 50
-        assert cache.evictions == 0
+    def test_bounded_by_default(self):
+        """One database remembers at most DECISION_CACHE_CAPACITY
+        decisions — the total the gateway's cache used to hold."""
+        assert Database().validity_cache.max_entries == DECISION_CACHE_CAPACITY == 4096
 
     def test_explicit_data_version_override(self):
-        """The service layer validates entries against the database's
-        own version counter, passed explicitly."""
+        """Entries are validated against the stamp the caller observed
+        on the database, passed explicitly."""
         cache = ValidityCache()
-        q = parse_query("select x from T where y = 1")
-        cache.store_signed(
-            "u", *query_signature(q), "u", Validity.CONDITIONAL, "probe",
-            data_version=7,
-        )
-        skeleton, literals = query_signature(q)
-        assert (
-            cache.lookup_signed("u", skeleton, literals, "u", data_version=7)
-            is not None
-        )
-        assert (
-            cache.lookup_signed("u", skeleton, literals, "u", data_version=8)
-            is None
-        )
+        q = "select x from T where y = 1"
+        put(cache, q, "u", Validity.CONDITIONAL, "probe", stamp=(7, STAMP[1]))
+        assert get(cache, q, "u", stamp=(7, STAMP[1])) is not None
+        assert get(cache, q, "u", stamp=(8, STAMP[1])) is None
 
 
 class TestCacheInvalidationOnDml:

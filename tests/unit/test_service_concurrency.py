@@ -1,9 +1,9 @@
 """Race-regression tests: hammer the shared structures from N threads.
 
 These guard the locking added for the enforcement gateway: the
-validity cache, the grant registry, and the sharded service cache must
-tolerate concurrent readers and writers without raising, corrupting
-counters, or violating their bounds.  Failures here historically show
+decision cache and the grant registry must tolerate concurrent readers
+and writers without raising, corrupting counters, or violating their
+bounds.  Failures here historically show
 up as ``RuntimeError: dictionary changed size during iteration``,
 silently lost grants, or caches growing past their LRU limit.
 """
@@ -14,9 +14,8 @@ import pytest
 
 from repro.sql import parse_query
 from repro.authviews.registry import GrantRegistry
-from repro.nontruman.cache import ValidityCache
+from repro.nontruman.cache import ValidityCache, query_signature
 from repro.nontruman.decision import Validity
-from repro.service.cache import SharedValidityCache
 from repro.service.metrics import MetricsRegistry
 
 THREADS = 8
@@ -44,20 +43,24 @@ def hammer(worker, threads=THREADS):
         raise errors[0]
 
 
+EPOCH = ("grants", 0)
+
+
 class TestValidityCacheRaces:
     def test_concurrent_store_lookup_invalidate(self):
         cache = ValidityCache(max_entries=64)
-        queries = [
-            parse_query(f"select x from T where y = {i} and u = 'me'")
+        signed = [
+            query_signature(parse_query(f"select x from T where y = {i} and u = 'me'"))
             for i in range(20)
         ]
 
         def worker(index):
             for i in range(OPS):
-                query = queries[(index + i) % len(queries)]
-                user = f"u{index % 3}"
-                cache.store(user, query, "me", Validity.CONDITIONAL, "probe")
-                cache.lookup(user, query, "me")
+                skeleton, literals = signed[(index + i) % len(signed)]
+                key = (f"u{index % 3}", (), skeleton)
+                stamp = (cache.data_version, EPOCH)
+                cache.store(key, literals, "me", Validity.CONDITIONAL, "probe", stamp)
+                cache.lookup(key, literals, "me", (cache.data_version, EPOCH))
                 if i % 25 == 0:
                     cache.invalidate_data()
                 if i % 40 == 0:
@@ -72,15 +75,17 @@ class TestValidityCacheRaces:
         cache = ValidityCache(max_entries=8)
         # structurally distinct queries: literal-stripping must not
         # collapse them onto one signature
-        queries = [
-            parse_query(f"select a, col{i} from T") for i in range(32)
+        signed = [
+            query_signature(parse_query(f"select a, col{i} from T"))
+            for i in range(32)
         ]
 
         def worker(index):
             for i in range(OPS):
+                skeleton, literals = signed[(index * 7 + i) % 32]
                 cache.store(
-                    "u", queries[(index * 7 + i) % 32], "u",
-                    Validity.UNCONDITIONAL, "ok",
+                    ("u", (), skeleton), literals, "u",
+                    Validity.UNCONDITIONAL, "ok", (0, EPOCH),
                 )
 
         hammer(worker)
@@ -127,23 +132,22 @@ class TestGrantRegistryRaces:
 class TestSharedCacheRaces:
     def test_concurrent_access_with_moving_versions(self):
         state = {"data": 0, "policy": 0}
-
-        def versions():
-            return state["data"], state["policy"]
-
-        cache = SharedValidityCache(
-            shards=4, capacity_per_shard=16, version_source=versions
-        )
-        queries = [
-            parse_query(f"select x from T where y = {i}") for i in range(24)
+        cache = ValidityCache(max_entries=4 * 16)
+        signed = [
+            query_signature(parse_query(f"select x from T where y = {i}"))
+            for i in range(24)
         ]
 
         def worker(index):
             for i in range(OPS):
-                query = queries[(index + 3 * i) % len(queries)]
+                skeleton, literals = signed[(index + 3 * i) % len(signed)]
                 user = f"u{index % 4}"
-                cache.store(user, query, user, Validity.CONDITIONAL, "probe")
-                cache.lookup(user, query, user)
+                key = (user, (), skeleton)
+                stamp = (state["data"], state["policy"])
+                cache.store(key, literals, user, Validity.CONDITIONAL, "probe", stamp)
+                stamp = (state["data"], state["policy"])
+                found = cache.lookup(key, literals, user, stamp)
+                assert found in (None, (Validity.CONDITIONAL, "probe"))
                 if index == 0 and i % 20 == 0:
                     state["data"] += 1
                 if index == 1 and i % 50 == 0:
@@ -151,7 +155,7 @@ class TestSharedCacheRaces:
 
         hammer(worker)
         assert cache.size <= 4 * 16
-        assert cache.hits + cache.misses > 0
+        assert cache.hits + cache.misses == THREADS * OPS
         assert cache.policy_invalidations >= 1
 
 
