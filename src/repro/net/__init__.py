@@ -22,7 +22,6 @@ Quickstart::
 """
 
 from repro.net.client import (
-    AsyncPreparedStatement,
     AsyncReproClient,
     ClientResult,
     PreparedStatement,
@@ -46,7 +45,6 @@ from repro.net.protocol import (
 from repro.net.server import NetworkService, ReproServer
 
 __all__ = [
-    "AsyncPreparedStatement",
     "AsyncReproClient",
     "ClientResult",
     "DEFAULT_MAX_FRAME",

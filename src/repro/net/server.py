@@ -35,7 +35,12 @@ Design points:
 * **bounded frames** — results are streamed as multiple ``row_batch``
   frames, each guaranteed to encode within ``max_frame_size``
   (:func:`~repro.net.protocol.iter_result_frames`); incoming frames
-  beyond the limit close the connection before buffering the payload.
+  beyond the limit close the connection before buffering the payload;
+* **one request parser** — every request frame passes ``_parse``,
+  which checks the integer id, the hello-first rule and each field's
+  JSON type against one table; a malformed field is answered with one
+  ``protocol`` error frame (counted in ``net_protocol_errors``) and the
+  connection keeps serving.
 
 Per-query pipelining is supported: a client may have any number of
 queries outstanding on one connection; responses carry the client's
@@ -89,6 +94,49 @@ NET_COUNTERS = (
     "net_rows_streamed",
     "net_protocol_errors",
 )
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_literals(value) -> bool:
+    return isinstance(value, list) and not any(
+        isinstance(item, (list, dict)) for item in value
+    )
+
+
+#: request field -> (what it must be, the test a present value passes)
+_FIELDS = {
+    "sql": ("a string", _is_str),
+    "statement": ("an integer", lambda value: isinstance(value, int)),
+    "args": ("a list of scalar literals", _is_literals),
+    "mode": (" | ".join(MODES), lambda value: value in MODES),
+    "deadline": ("a number", _is_number),
+    "row_budget": ("a number", _is_number),
+    "memory_budget": ("a number", _is_number),
+    "engine": ("a string", _is_str),
+    "tag": ("a string", _is_str),
+}
+#: fields a request cannot go without (``mode`` defaults to the session's)
+_REQUIRED = ("sql", "statement")
+#: the per-request knobs of query and execute frames
+_KNOBS = ("mode", "deadline", "tag", "engine", "row_budget", "memory_budget")
+#: request frame type -> the fields it carries besides its integer id;
+#: a request that carries fields is served only after ``hello``
+_REQUESTS = {
+    "query": ("sql", *_KNOBS),
+    "execute": ("statement", "args", *_KNOBS),
+    "explain": ("sql", "mode"),
+    "prepare": ("sql",),
+    "cancel": (),
+    "stats": (),
+    "health": (),
+}
 
 
 class _Session:
@@ -205,11 +253,7 @@ class ReproServer:
         try:
             self._fire_chaos("net.accept")
             await self._read_loop(session, reader)
-        except FrameTooLarge as exc:
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(session, None, "protocol", str(exc))
-        except ProtocolError as exc:
-            self.metrics.counter("net_protocol_errors").inc()
+        except ProtocolError as exc:  # unframeable bytes: nothing to resync on
             await self._try_send_error(session, None, "protocol", str(exc))
         except (
             asyncio.IncompleteReadError,
@@ -253,51 +297,96 @@ class ReproServer:
         if kind == "goodbye":
             await self._send(session, {"type": "goodbye"})
             return False
+        fields = await self._parse(session, message)
+        if fields is None:
+            return True
+        request_id = fields["id"]
         if kind == "cancel":
-            pending = session.inflight.get(message.get("id"))
+            pending = session.inflight.get(request_id)
             if pending is not None:
                 pending.cancel()
-            return True
-        if kind == "stats":
+        elif kind == "stats":
             await self._send(
                 session,
                 {
                     "type": "stats",
-                    "id": message.get("id"),
+                    "id": request_id,
                     "stats": sanitize_stats(self.gateway.stats()),
                 },
             )
-            return True
-        if kind == "health":
+        elif kind == "health":
             await self._send(
                 session,
                 {
                     "type": "health",
-                    "id": message.get("id"),
+                    "id": request_id,
                     "health": self._cluster_health(),
                 },
             )
-            return True
-        if kind == "query":
-            await self._handle_query(session, message)
-            return True
-        if kind == "explain":
-            await self._handle_explain(session, message)
-            return True
-        if kind == "prepare":
-            await self._handle_prepare(session, message)
-            return True
-        if kind == "execute":
-            await self._handle_execute(session, message)
-            return True
-        self.metrics.counter("net_protocol_errors").inc()
-        await self._try_send_error(
-            session,
-            message.get("id"),
-            "protocol",
-            f"unknown message type {kind!r}",
-        )
+        elif kind == "query":
+            request = self._request(session, fields, fields["sql"])
+            await self._submit_request(session, request_id, request)
+        elif kind == "explain":
+            await self._handle_explain(session, fields)
+        elif kind == "prepare":
+            await self._handle_prepare(session, fields)
+        else:  # the parser admits no other kind: execute
+            await self._handle_execute(session, fields)
         return True
+
+    async def _parse(self, session: _Session, message: dict) -> Optional[dict]:
+        """The validated fields of one request frame — ``id``, every
+        field present, ``mode`` resolved against the session — or None
+        after answering the one ``protocol`` or ``auth`` error frame a
+        malformed or premature request gets."""
+        kind = message.get("type")
+        request_id = message.get("id")
+        wants = _REQUESTS.get(kind) if isinstance(kind, str) else None
+        code = "protocol"
+        if wants is None:
+            problem = f"unknown message type {kind!r}"
+        elif not isinstance(request_id, int):
+            request_id, problem = None, f"{kind} frame needs an integer id"
+        elif wants and not session.authenticated:
+            code = "auth"
+            problem = "session is not authenticated; send a hello frame first"
+        else:
+            fields = {"id": request_id}
+            for name in wants:
+                value = message.get(name)
+                if name == "mode":
+                    value = value or session.mode
+                if value is None and name not in _REQUIRED:
+                    continue
+                what, valid = _FIELDS[name]
+                if not valid(value):
+                    problem = (
+                        f"{kind} frame needs {name} to be {what}, "
+                        f"got {value!r}"
+                    )
+                    break
+                fields[name] = value
+            else:
+                return fields
+        await self._try_send_error(session, request_id, code, problem)
+        return None
+
+    def _request(
+        self, session: _Session, fields: dict, sql: str, **prepared
+    ) -> QueryRequest:
+        """The gateway request a query or execute frame stands for."""
+        return QueryRequest(
+            user=session.user,
+            sql=sql,
+            params=session.params,
+            mode=fields["mode"],
+            deadline=fields.get("deadline"),
+            tag=fields.get("tag"),
+            engine=fields.get("engine"),
+            row_budget=fields.get("row_budget"),
+            memory_budget=fields.get("memory_budget"),
+            **prepared,
+        )
 
     async def _handle_hello(self, session: _Session, message: dict) -> None:
         mode = message.get("mode", "non-truman")
@@ -363,94 +452,18 @@ class ReproServer:
             return None
         return report()
 
-    async def _handle_query(self, session: _Session, message: dict) -> None:
-        request_id = message.get("id")
-        if not isinstance(request_id, int):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, None, "protocol", "query frame needs an integer id"
-            )
-            return
-        if not session.authenticated:
-            await self._try_send_error(
-                session,
-                request_id,
-                "auth",
-                "session is not authenticated; send a hello frame first",
-            )
-            return
-        sql = message.get("sql")
-        if not isinstance(sql, str):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, request_id, "protocol", "query frame needs a sql string"
-            )
-            return
-        mode = message.get("mode") or session.mode
-        if mode not in MODES:
-            await self._try_send_error(
-                session,
-                request_id,
-                "protocol",
-                f"unknown access-control mode {mode!r}",
-            )
-            return
-        request = QueryRequest(
-            user=session.user,
-            sql=sql,
-            params=session.params,
-            mode=mode,
-            deadline=message.get("deadline"),
-            tag=message.get("tag"),
-            engine=message.get("engine"),
-            row_budget=message.get("row_budget"),
-            memory_budget=message.get("memory_budget"),
-        )
-        await self._submit_request(session, request_id, request)
-
-    async def _handle_explain(self, session: _Session, message: dict) -> None:
+    async def _handle_explain(self, session: _Session, fields: dict) -> None:
         """``explain``: validity check + decision trace, no execution."""
-        request_id = message.get("id")
-        if not isinstance(request_id, int):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, None, "protocol", "explain frame needs an integer id"
-            )
-            return
-        if not session.authenticated:
-            await self._try_send_error(
-                session,
-                request_id,
-                "auth",
-                "session is not authenticated; send a hello frame first",
-            )
-            return
-        sql = message.get("sql")
-        if not isinstance(sql, str):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, request_id, "protocol",
-                "explain frame needs a sql string",
-            )
-            return
-        mode = message.get("mode") or session.mode
-        if mode not in MODES:
-            await self._try_send_error(
-                session,
-                request_id,
-                "protocol",
-                f"unknown access-control mode {mode!r}",
-            )
-            return
         from repro.rebac.trace import explain_query, render_report
 
+        request_id, mode = fields["id"], fields["mode"]
         db = self.gateway.db
         loop = asyncio.get_running_loop()
 
         def _trace():
             conn = db.connect(user_id=session.user, mode=mode,
                               **dict(session.params))
-            return explain_query(db, sql, conn.session)
+            return explain_query(db, fields["sql"], conn.session)
 
         try:
             # the validity check may run probe queries; keep it off the
@@ -470,33 +483,12 @@ class ReproServer:
             },
         )
 
-    async def _handle_prepare(self, session: _Session, message: dict) -> None:
+    async def _handle_prepare(self, session: _Session, fields: dict) -> None:
         """``prepare``: parse + literal-strip once, answer a handle."""
-        request_id = message.get("id")
-        if not isinstance(request_id, int):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, None, "protocol", "prepare frame needs an integer id"
-            )
-            return
-        if not session.authenticated:
-            await self._try_send_error(
-                session,
-                request_id,
-                "auth",
-                "session is not authenticated; send a hello frame first",
-            )
-            return
-        sql = message.get("sql")
-        if not isinstance(sql, str):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, request_id, "protocol", "prepare frame needs a sql string"
-            )
-            return
+        request_id = fields["id"]
         try:
             skeleton, literals, signature_text = resolve_signature(
-                self.gateway.db, sql
+                self.gateway.db, fields["sql"]
             )
         except PreparedFallback as exc:
             await self._try_send_error(
@@ -521,68 +513,35 @@ class ReproServer:
             },
         )
 
-    async def _handle_execute(self, session: _Session, message: dict) -> None:
+    async def _handle_execute(self, session: _Session, fields: dict) -> None:
         """``execute``: bind positional args to a prepared handle."""
-        request_id = message.get("id")
-        if not isinstance(request_id, int):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, None, "protocol", "execute frame needs an integer id"
-            )
-            return
-        entry = session.prepared.get(message.get("statement"))
+        request_id = fields["id"]
+        entry = session.prepared.get(fields["statement"])
         if entry is None:
             await self._try_send_error(
                 session,
                 request_id,
                 "error",
-                f"unknown prepared statement {message.get('statement')!r}",
+                f"unknown prepared statement {fields['statement']!r}",
             )
             return
         skeleton, n_params, signature_text = entry
-        args = message.get("args") or []
-        if not isinstance(args, list) or len(args) != n_params:
-            got = len(args) if isinstance(args, list) else f"{args!r}"
+        args = fields.get("args", [])
+        if len(args) != n_params:
             await self._try_send_error(
                 session,
                 request_id,
                 "error",
-                f"prepared statement takes {n_params} argument(s), got {got}",
+                f"prepared statement takes {n_params} argument(s), "
+                f"got {len(args)}",
             )
             return
-        literals = tuple(args)
-        try:
-            hash(literals)
-        except TypeError:
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session,
-                request_id,
-                "protocol",
-                "execute args must be scalar literals",
-            )
-            return
-        mode = message.get("mode") or session.mode
-        if mode not in MODES:
-            await self._try_send_error(
-                session,
-                request_id,
-                "protocol",
-                f"unknown access-control mode {mode!r}",
-            )
-            return
-        request = QueryRequest(
-            user=session.user,
-            sql=signature_text,
-            params=session.params,
-            mode=mode,
-            deadline=message.get("deadline"),
-            tag=message.get("tag"),
-            engine=message.get("engine"),
-            row_budget=message.get("row_budget"),
-            memory_budget=message.get("memory_budget"),
+        request = self._request(
+            session,
+            fields,
+            signature_text,
             skeleton=skeleton,
-            literals=literals,
+            literals=tuple(args),
         )
         self.metrics.counter("net_executes").inc()
         await self._submit_request(session, request_id, request)
@@ -598,7 +557,9 @@ class ReproServer:
             )
             return
         except ServiceShutdown as exc:
-            await self._try_send_error(session, request_id, "shutdown", str(exc))
+            await self._try_send_error(
+                session, request_id, "shutdown", str(exc)
+            )
             return
         self.metrics.counter("net_queries").inc()
         session.inflight[request_id] = pending
@@ -706,6 +667,8 @@ class ReproServer:
         code: str,
         message: str,
     ) -> None:
+        if code == "protocol":
+            self.metrics.counter("net_protocol_errors").inc()
         try:
             await self._send(
                 session,

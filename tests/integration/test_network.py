@@ -144,6 +144,60 @@ class TestHandshake:
         finally:
             conn.close()
 
+    def test_execute_before_hello_denied(self, service):
+        """``execute`` obeys the hello-first rule like query, explain and
+        prepare (it used to answer "unknown prepared statement")."""
+        _, host, port = service
+        conn = RawConn(host, port)
+        try:
+            conn.send({"type": "execute", "id": 1, "statement": 1, "args": []})
+            message = conn.recv()
+            assert (message["type"], message["code"], message["id"]) == (
+                "error", "auth", 1,
+            )  # fmt: skip
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "execute", "id": 2, "statement": [1], "args": []},
+            {"type": "cancel", "id": [1]},
+            {"type": "query", "id": 2, "sql": "select 1", "deadline": "x"},
+            {"type": "query", "id": 2, "sql": "select 1", "row_budget": "x"},
+            {"type": "query", "id": 2, "sql": "select 1", "tag": ["t"]},
+            {"type": "query", "id": 2, "sql": 7},
+            {"type": "query", "id": "2", "sql": "select 1"},
+            {"type": "explain", "id": 2, "sql": "select 1", "mode": "bogus"},
+            {"type": "prepare", "id": 2},
+            {"type": "execute", "id": 2, "statement": 1, "args": [[1]]},
+            {"type": "execute", "id": 2, "statement": 1, "args": "x"},
+            {"type": "stats", "id": [1]},
+            {"type": ["query"], "id": 2},
+        ],
+        ids=lambda frame: "-".join(f"{k}={v}" for k, v in frame.items()),
+    )
+    def test_malformed_field_gets_protocol_frame(self, service, frame):
+        """Every malformed request field is answered with one typed
+        ``protocol`` error frame and counted; the connection keeps
+        serving (these used to crash the connection handler)."""
+        gateway, host, port = service
+        conn = RawConn(host, port)
+        try:
+            conn.send({"type": "hello", "user": "11"})
+            assert conn.recv()["type"] == "welcome"
+            conn.send(frame)
+            message = conn.recv()
+            assert (message["type"], message["code"]) == ("error", "protocol")
+            expected_id = frame["id"] if isinstance(frame["id"], int) else None
+            if isinstance(frame["type"], str):
+                assert message["id"] == expected_id
+            conn.send({"type": "stats", "id": 9})
+            assert conn.recv()["type"] == "stats"
+        finally:
+            conn.close()
+        assert gateway.metrics.counter("net_protocol_errors").value == 1
+
     def test_rehello_switches_user(self, service):
         """The session layer maps the connection to the gateway user:
         after re-authenticating as another student, the same connection
