@@ -659,6 +659,29 @@ class Database:
         rows = executor.execute(plan)
         return Result(tuple(c.name for c in plan.columns), rows)
 
+    def probe_exists(
+        self, plan: ops.Operator, session: SessionContext, ctx=None
+    ) -> bool:
+        """Whether a C3 probe plan has a row in the current state.
+
+        A probe only asks for non-emptiness, so its constant projection
+        (``select 1``) is dropped and the input runs on the vectorized
+        executor, whose scans probe hash indexes and prune shards; user
+        queries and witnesses keep ``default_engine``.  The probe runs
+        under the caller's session, read lock and ``ctx`` (deadline,
+        cancel token, row budget), as :meth:`run_plan` would.
+        """
+        while isinstance(plan, ops.Project) and all(
+            isinstance(expr, ast.Literal) for expr, _ in plan.exprs
+        ):
+            plan = plan.child
+        from repro.algebra.rewrite import push_selections
+
+        executor = make_executor(
+            "vectorized", _QueryContext(self, session), ctx=ctx
+        )
+        return bool(executor.execute(push_selections(plan)))
+
     # -- DML with integrity + update authorization --------------------------------
 
     def _eval_const(self, expr: ast.Expr, session: SessionContext) -> object:

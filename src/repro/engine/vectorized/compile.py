@@ -44,7 +44,12 @@ def compile_scalar(expr: ast.Expr, resolver: RowResolver) -> VecFn:
         value = expr.value
         return lambda b: [value] * b.length
     if isinstance(expr, ast.ColumnRef):
-        ordinal = resolver.ordinal(expr)
+        try:
+            ordinal = resolver.ordinal(expr)
+        except ExecutionError as exc:
+            # e.g. an unsatisfiable query's witness over a zero-column
+            # relation: the row engine never resolves it on no rows
+            return _raise_on_rows(exc)
         return lambda b: b.columns[ordinal]
     if isinstance(expr, ast.BinaryOp):
         return _compile_binary(expr, resolver)

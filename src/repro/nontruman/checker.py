@@ -42,6 +42,7 @@ from repro.algebra.translate import Translator
 from repro.authviews.session import SessionContext
 from repro.authviews.views import InstantiatedView
 from repro.catalog.catalog import ViewDef
+from repro.instrument import COUNTERS
 from repro.nontruman.blocks import AggBlock, BlockBuilder, SPJBlock
 from repro.nontruman.decision import RuleApplication, Validity, ValidityDecision
 from repro.nontruman.matching import BlockMatcher, CandidateView, Rewriting
@@ -94,8 +95,6 @@ class ValidityChecker:
         cooperative — the matcher's cover search ticks it, so a
         deadline/cancel aborts *mid-inference* and nothing is cached.
         """
-        from repro.instrument import COUNTERS
-
         COUNTERS.bump("validity.check")
         if self.use_cache:
             from repro.prepared.pipeline import context_key, decide
@@ -121,10 +120,13 @@ class ValidityChecker:
             )
 
         views = self._candidate_views(query, session)
+        # probe plan -> non-empty, for this check only: the state cannot
+        # change mid-check, so an identical probe never runs twice
+        probes: dict[str, bool] = {}
         matcher = BlockMatcher(
             catalog=self.db.catalog,
             views=views,
-            probe_runner=lambda p: self._run_probe(p, session, ctx),
+            probe_runner=lambda p: self._run_probe(p, session, ctx, probes),
             subcheck=lambda p: None,  # replaced below (needs matcher ref)
             user=session.user,
             max_cover_nodes=self.max_cover_nodes,
@@ -330,7 +332,16 @@ class ValidityChecker:
             depth_box[0] -= 1
 
     def _run_probe(
-        self, plan: ops.Operator, session: SessionContext, ctx=None
+        self,
+        plan: ops.Operator,
+        session: SessionContext,
+        ctx,
+        memo: dict[str, bool],
     ) -> bool:
-        result = self.db.run_plan(plan, session, ctx=ctx)
-        return len(result.rows) > 0
+        # keyed on the rendering: it tells Literal(1) from Literal(True),
+        # which equal (frozen-dataclass) plans would not
+        key = repr(plan)
+        if key not in memo:
+            COUNTERS.bump("validity.probe")
+            memo[key] = self.db.probe_exists(plan, session, ctx)
+        return memo[key]

@@ -311,6 +311,18 @@ class TestNullAndEmptyCorners:
     def test_engines_agree(self, db, sql):
         assert_engines_agree(db, sql)
 
+    def test_unsatisfiable_query_witness(self):
+        """The witness of an unsatisfiable selection projects Grades
+        columns over an empty zero-column relation: no row ever
+        resolves them, so neither engine may raise."""
+        db = build_university()
+        conn = db.connect(user_id="11", mode="non-truman")
+        witness = conn.check_validity(
+            "select * from Grades where grade > 5 and grade < 1"
+        ).witness
+        for engine in ("row", "vectorized"):
+            assert db.run_plan(witness, conn.session, engine=engine).rows == []
+
 
 # -- instrumentation parity --------------------------------------------
 
