@@ -193,7 +193,7 @@ def test_revoke_storm_with_failover_zero_stale():
         churner.start()
         for i in range(reads):
             if i == reads // 2:  # failover: one replica goes silent
-                db.durability.shippers[0].paused = True
+                db.shippers[0].paused = True
             flips_before, granted_before = snapshot()
             response = gateway.execute(
                 QueryRequest(
@@ -220,11 +220,11 @@ def test_revoke_storm_with_failover_zero_stale():
         gateway.shutdown(drain=False)
     # while the dead replica is still silent, routing only offers the
     # survivor (a paused shipper never ships, even on sync)
-    live = db.durability.shippers[1].replica
+    live = db.shippers[1].replica
     db.grant("MyGrades", "11")
     db.sync_replicas()
     routed = {db.route_read().name for _ in range(10)}
-    db.durability.shippers[0].paused = False
+    db.shippers[0].paused = False
     EXPERIMENT.add(
         f"revoke storm, {reads} reads, failover at {reads // 2}",
         reads=reads,

@@ -214,7 +214,7 @@ def test_revoke_tuple_storm_zero_stale():
 
     def pause_wiggle():
         while not stop.is_set():
-            for shipper in db.durability.shippers:
+            for shipper in db.shippers:
                 shipper.paused = not shipper.paused
             time.sleep(0.002)
 
@@ -247,7 +247,7 @@ def test_revoke_tuple_storm_zero_stale():
         stop.set()
         churner.join(timeout=10)
         wiggler.join(timeout=10)
-        for shipper in db.durability.shippers:
+        for shipper in db.shippers:
             shipper.paused = False
         gateway.shutdown(drain=False)
     EXPERIMENT.add(

@@ -72,7 +72,7 @@ def build_cluster(**kwargs):
 def catch_up_after_tail(db, tail):
     """Partition the replica, write ``tail`` records, heal; return the
     catch-up report (duration measured inside the coordinator)."""
-    shipper = db.durability.shippers[0]
+    shipper = db.shippers[0]
     shipper.paused = True
     for i in range(tail):
         db.execute(f"insert into Grades values ('t{i}', 'CS0', 2.0)")
@@ -156,7 +156,7 @@ def test_quarantine_rejoin_cycle_converges():
     zero lag, zero unresolved divergences, and digests identical —
     the invariant every chaos run asserts, measured once cleanly."""
     db = build_cluster(catchup_seed=21)
-    shipper = db.durability.shippers[0]
+    shipper = db.shippers[0]
     db.health.quarantine("r0", "bench-injected partition")
     for i in range(64):
         db.execute(f"insert into Grades values ('q{i}', 'CS1', 3.0)")

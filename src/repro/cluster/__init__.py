@@ -26,7 +26,7 @@ from repro.cluster.partition import (
     ShardFragment,
 )
 from repro.cluster.replica import ReadReplica
-from repro.cluster.shipper import ClusterWal, ReplicationLog, WalShipper
+from repro.cluster.shipper import ReplicationLog, WalShipper
 from repro.cluster.storage_node import (
     DECOMPOSABLE,
     StorageNode,
@@ -39,7 +39,6 @@ from repro.cluster.storage_node import (
 __all__ = [
     "CATCHING_UP",
     "ClusterCoordinator",
-    "ClusterWal",
     "DECOMPOSABLE",
     "HEALTHY",
     "HashPartitioner",

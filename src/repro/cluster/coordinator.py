@@ -17,12 +17,18 @@ exactly as on a single node; only execution touches shards:
 * everything else reads the facade's merged row-id-ordered view, which
   is byte-identical to a single node's iteration order.
 
-Replication: a :class:`~repro.cluster.shipper.ClusterWal` installed as
-``durability`` turns every mutation and policy change into
-epoch-stamped records shipped to :class:`~repro.cluster.replica.
-ReadReplica` instances.  :meth:`route_read` offers a replica only when
-its observed policy epoch has caught up with the coordinator's **and**
-its data lag is within ``replica_max_lag`` — a freshly-appended revoke
+Replication: the coordinator logs through the same
+:class:`~repro.durability.manager.DurabilityManager` a single node
+uses (with a WAL writer only when it has a ``data_dir``) and plugs in
+two hooks.  The append hook stamps the policy epoch on every record —
+bumping it for :data:`~repro.cluster.shipper.POLICY_KINDS` — before the
+durable write, and keeps the record in the in-memory
+:class:`~repro.cluster.shipper.ReplicationLog` tail (``log``) under the
+same LSN.  The commit hook ships that tail to the
+:class:`~repro.cluster.replica.ReadReplica` instances the failure
+detector allows.  :meth:`route_read` offers a replica only when its
+observed policy epoch has caught up with the coordinator's **and** its
+data lag is within ``replica_max_lag`` — a freshly-appended revoke
 makes every replica ineligible until it has applied that revoke.
 """
 
@@ -55,7 +61,7 @@ from repro.cluster.health import (
 )
 from repro.cluster.partition import HashPartitioner, PartitionedTable
 from repro.cluster.replica import ReadReplica
-from repro.cluster.shipper import ClusterWal, WalShipper
+from repro.cluster.shipper import POLICY_KINDS, ReplicationLog, WalShipper
 from repro.cluster.storage_node import (
     StorageNode,
     decomposable_aggregate,
@@ -129,22 +135,30 @@ class ClusterCoordinator(Database):
         self._catchup_rng = random.Random(catchup_seed)
         #: injectable sleep for deterministic backoff tests
         self._sleep = time.sleep
-        super().__init__()
+        self.ship_batch = ship_batch
         #: auto_ship_lag bounds replica lag without explicit syncs: a
         #: commit ships as soon as any replica trails by that many
         #: records, even when the ship batch has not filled
-        wal = ClusterWal(
-            self, ship_batch=ship_batch, auto_ship_lag=auto_ship_lag,
-            injector=chaos,
-        )
-        wal.install(self)
-        wal.health = self.health
+        self.auto_ship_lag = auto_ship_lag
+        self.shippers: list[WalShipper] = []
+        #: chaos hook mirroring a failing durable commit: trips the
+        #: gateway's breaker into degraded read-only mode
+        self.fail_next_commits = 0
+        #: bumped by every policy-bearing record at append time
+        self.policy_epoch = 0
+        super().__init__()
+        # over existing durable state, recovery runs here, before the
+        # hooks below exist
+        self._attach_durability(data_dir, durability_sync, injector=chaos)
+        wal = self.durability
         #: recovery report when constructed over existing durable state
-        self.recovery_report: Optional[dict] = None
-        if data_dir is not None:
-            self.recovery_report = wal.attach_data_dir(
-                data_dir, sync=durability_sync
-            )
+        self.recovery_report: Optional[dict] = wal.recovery_info or None
+        self.policy_epoch = wal.recovery_info.get("policy_epoch", 0)
+        #: in-memory tail of the log; history only on disk is not in it
+        #: (a replica attached later bootstraps from a snapshot instead)
+        self.log = ReplicationLog(base_lsn=wal.last_lsn)
+        wal.on_append = self._stamp_and_keep
+        wal.on_commit = self._ship_on_commit
         for _ in range(int(replicas)):
             self.add_replica()
 
@@ -182,25 +196,53 @@ class ClusterCoordinator(Database):
             node.add_table(schema.name, shard_table)
         return PartitionedTable(schema, shard_tables, partitioner)
 
-    # -- durability is the replication log --------------------------------
+    # -- the log's coordinator hooks ----------------------------------------
 
-    def _attach_durability(self, data_dir, sync="group", injector=None):
-        raise DurabilityError(
-            "a sharded coordinator attaches durable storage through "
-            "ClusterCoordinator.open(data_dir) / save(data_dir); its "
-            "durability slot carries the cluster replication log"
-        )
+    def _stamp_and_keep(self, record: dict) -> None:
+        """Append hook: stamp the policy epoch, keep the record in the
+        tail (runs under the log lock, before the durable write)."""
+        if record["kind"] in POLICY_KINDS:
+            self.policy_epoch += 1
+        record["epoch"] = self.policy_epoch
+        self.log.append(record)
 
-    def save(self, data_dir, sync: str = "group") -> "ClusterCoordinator":
-        """Attach durable storage: snapshot now, then WAL every append."""
-        self.durability.attach_data_dir(data_dir, sync=sync)
-        return self
+    def _ship_on_commit(self) -> None:
+        """Commit hook: ship to every replica the detector allows.
+
+        A failing replica is *reported and skipped*: the write succeeds,
+        the other replicas ship, and the failure detector walks the
+        flaky replica toward quarantine while the primary (and every
+        healthy replica) keeps serving.
+        """
+        with self.durability.lock:
+            if self.fail_next_commits > 0:
+                self.fail_next_commits -= 1
+                raise DurabilityError("injected cluster commit failure")
+            for shipper in self.shippers:
+                name = shipper.replica.name
+                if not self.health.may_ship(name):
+                    continue
+                try:
+                    shipper.maybe_ship()
+                except (DurabilityError, OSError) as exc:
+                    self.health.record_failure(name, exc)
+                    continue
+                if not shipper.paused:
+                    self.health.heartbeat(name)
+
+    def checkpoint(self) -> int:
+        """Checkpoint the log, then drop the tail records every replica
+        has been shipped (a durable log only: in memory the tail is the
+        whole history, and late replicas stream it)."""
+        with self.durability.lock:
+            lsn = super().checkpoint()
+            if self.durability.writer is not None:
+                self.log.truncate_to(
+                    min([lsn] + [s._cursor for s in self.shippers])
+                )
+            return lsn
 
     # -- replicas ---------------------------------------------------------
-
-    @property
-    def policy_epoch(self) -> int:
-        return self.durability.policy_epoch
 
     def add_replica(self, name: Optional[str] = None) -> ReadReplica:
         """Attach a replica and stream it up to date.
@@ -212,31 +254,31 @@ class ClusterCoordinator(Database):
         """
         replica = ReadReplica(name or f"r{len(self.replicas)}")
         shipper = WalShipper(
-            self.durability.log,
+            self.log,
             replica,
-            ship_batch=self.durability.ship_batch,
-            auto_ship_lag=self.durability.auto_ship_lag,
+            ship_batch=self.ship_batch,
+            auto_ship_lag=self.auto_ship_lag,
         )
         # a brand-new replica starts before everything, even records the
         # log no longer holds (catch-up then bootstraps it)
         shipper._cursor = 0
-        self.durability.shippers.append(shipper)
+        self.shippers.append(shipper)
         self.replicas.append(replica)
         self.health.register(replica.name)
         self._catch_up_one(shipper)
         return replica
 
     def sync_replicas(self) -> int:
-        """Ship everything pending to every replica (manual hammer;
-        raises on ship faults — see :meth:`catch_up` for the
-        retry/bootstrap path)."""
-        return self.durability.ship_all()
+        """Ship everything pending to every replica, whatever their
+        health state; returns records shipped (manual hammer; raises on
+        ship faults — see :meth:`catch_up` for the retry/bootstrap
+        path)."""
+        with self.durability.lock:
+            return sum(shipper.ship() for shipper in self.shippers)
 
     def replica_lag(self) -> int:
         """Worst data lag (in log records) across the replicas."""
-        if not self.durability.shippers:
-            return 0
-        return max(s.lag() for s in self.durability.shippers)
+        return max((s.lag() for s in self.shippers), default=0)
 
     def route_read(self) -> Optional[ReadReplica]:
         """A replica fit to serve a read right now, or None for primary.
@@ -255,7 +297,7 @@ class ClusterCoordinator(Database):
         epoch = self.policy_epoch
         eligible = [
             shipper.replica
-            for shipper in self.durability.shippers
+            for shipper in self.shippers
             if self.health.is_serving(shipper.replica.name)
             and shipper.replica.policy_epoch >= epoch
             and shipper.lag() <= self.replica_max_lag
@@ -294,7 +336,7 @@ class ClusterCoordinator(Database):
             )
 
     def _shipper_for(self, name: str) -> Optional[WalShipper]:
-        for shipper in self.durability.shippers:
+        for shipper in self.shippers:
             if shipper.replica.name == name:
                 return shipper
         return None
@@ -318,7 +360,7 @@ class ClusterCoordinator(Database):
         heartbeat ages into ``SUSPECT`` and then ``QUARANTINED``.  The
         ``cluster.heartbeat`` chaos point simulates lost probes.
         """
-        for shipper in self.durability.shippers:
+        for shipper in self.shippers:
             name = shipper.replica.name
             if not self.health.may_ship(name):
                 continue
@@ -332,7 +374,7 @@ class ClusterCoordinator(Database):
                 self.health.heartbeat(name)
         self.health.tick()
         if self.auto_catchup:
-            for shipper in self.durability.shippers:
+            for shipper in self.shippers:
                 name = shipper.replica.name
                 if self.health.state_of(name) != QUARANTINED:
                     continue
@@ -358,7 +400,7 @@ class ClusterCoordinator(Database):
         """
         reports = []
         matched = False
-        for shipper in list(self.durability.shippers):
+        for shipper in list(self.shippers):
             rname = shipper.replica.name
             if name is not None:
                 if rname != name:
@@ -414,16 +456,16 @@ class ClusterCoordinator(Database):
                 f"replica {replica.name} is unreachable (shipper paused); "
                 "catch-up aborted"
             )
-        if force_bootstrap or shipper._cursor < wal.log.base_lsn:
+        if force_bootstrap or shipper._cursor < self.log.base_lsn:
             self._bootstrap_replica(shipper)
             report["bootstrapped"] = True
         attempt = 0
         while True:
-            with wal._lock:
+            with wal.lock:
                 if shipper.lag() <= 0 and shipper.pending() <= 0:
                     break
             try:
-                with wal._lock:
+                with wal.lock:
                     if self._chaos is not None:
                         self._chaos.fire("cluster.ship_stream")
                     shipped = shipper.ship(max_records=self.catchup_chunk)
@@ -444,7 +486,7 @@ class ClusterCoordinator(Database):
                         f"catch-up for {replica.name} gave up after "
                         f"{self.catchup_retries} retries: {exc}"
                     ) from exc
-                if shipper._cursor < wal.log.base_lsn:
+                if shipper._cursor < self.log.base_lsn:
                     # the log moved past us mid-stream (checkpoint);
                     # fall back to a fresh bootstrap
                     self._bootstrap_replica(shipper)
@@ -467,13 +509,12 @@ class ClusterCoordinator(Database):
         """Rebuild the replica from a snapshot of the live primary."""
         from repro.durability.snapshot import capture_state
 
-        wal = self.durability
-        with wal._lock:
+        with self.durability.lock:
             if self._chaos is not None:
                 self._chaos.fire("cluster.bootstrap")
-            last_lsn = wal.log.last_lsn
+            last_lsn = self.log.last_lsn
             state = capture_state(self, last_lsn)
-            epoch = wal.policy_epoch
+            epoch = self.policy_epoch
         shipper.replica.bootstrap(state, last_lsn=last_lsn, policy_epoch=epoch)
         shipper._cursor = max(shipper._cursor, last_lsn)
 
@@ -511,7 +552,7 @@ class ClusterCoordinator(Database):
         """
         wal = self.durability
         replica = shipper.replica
-        with wal._lock, replica.read_lock():
+        with wal.lock, replica.read_lock():
             mismatch = self._digest_mismatch(replica)
         if mismatch is None:
             return
@@ -519,7 +560,7 @@ class ClusterCoordinator(Database):
         report["divergences"] += 1
         self._bootstrap_replica(shipper)
         report["bootstrapped"] = True
-        with wal._lock, replica.read_lock():
+        with wal.lock, replica.read_lock():
             mismatch = self._digest_mismatch(replica)
         if mismatch is not None:
             self.health.quarantine(replica.name, error=mismatch)
@@ -537,7 +578,7 @@ class ClusterCoordinator(Database):
         (``clean`` / ``lagging`` / ``rebootstrapped``).
         """
         outcomes: dict[str, str] = {}
-        for shipper in list(self.durability.shippers):
+        for shipper in list(self.shippers):
             name = shipper.replica.name
             if not self.health.is_serving(name):
                 outcomes[name] = self.health.state_of(name)
@@ -545,7 +586,7 @@ class ClusterCoordinator(Database):
             if shipper.lag() > 0:
                 outcomes[name] = "lagging"  # compare only at rest
                 continue
-            with self.durability._lock, shipper.replica.read_lock():
+            with self.durability.lock, shipper.replica.read_lock():
                 mismatch = self._digest_mismatch(shipper.replica)
             if mismatch is None:
                 outcomes[name] = "clean"
@@ -560,7 +601,7 @@ class ClusterCoordinator(Database):
         """Live topology/health view (``\\replicas``, ``health`` frame)."""
         snapshot = self.health.snapshot()
         replicas = []
-        for shipper in self.durability.shippers:
+        for shipper in self.shippers:
             replica = shipper.replica
             info = snapshot.get(replica.name, {})
             replicas.append(

@@ -145,7 +145,7 @@ class PartitionedTable:
         self._next_id = 0
         #: global row id -> owning shard ordinal
         self._rid_to_shard: dict[int, int] = {}
-        #: replication hook (set by the cluster WAL); fired once per
+        #: log hook (set by the durability manager); fired once per
         #: *logical* mutation, even when a partition-key update moves a
         #: row between shards
         self.on_mutate: Optional[Callable[..., None]] = None

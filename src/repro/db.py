@@ -198,8 +198,6 @@ class Database:
         from repro.truman.vpd import VpdPolicySet
 
         self.vpd_policies = VpdPolicySet()
-        #: lazily-created validity checker (Non-Truman model)
-        self._checker = None
         #: the validity-decision cache (Section 5.6 optimization), shared
         #: by every session and gateway over this database; also owns
         #: the data-version counter
@@ -260,12 +258,13 @@ class Database:
             )
         self._attach_durability(data_dir, sync=sync)
 
-    def _attach_durability(self, data_dir: str, sync: str = "group",
+    def _attach_durability(self, data_dir: Optional[str], sync: str = "group",
                            injector: Optional[object] = None) -> None:
+        """Attach a log (``data_dir=None``: in memory only), or back an
+        attached in-memory log with ``data_dir``."""
         if self.durability is not None:
-            raise DurabilityError(
-                f"database is already durable at {self.durability.data_dir!r}"
-            )
+            self.durability.open_dir(data_dir, sync)
+            return
         from repro.durability.manager import DurabilityManager
 
         DurabilityManager(

@@ -13,12 +13,14 @@ touching its query path:
 * :mod:`repro.durability.recovery` — ``Database.open(data_dir)``: load
   the newest valid snapshot, replay the WAL tail in LSN order, truncate
   a torn final record instead of applying it;
-* :mod:`repro.durability.manager` — per-database glue: mutation hooks,
-  commit, checkpoint + log truncation, ``\\wal-stats``;
+* :mod:`repro.durability.manager` — the one log front end, for a single
+  node and a cluster coordinator: mutation hooks, LSNs, commit,
+  checkpoint + log truncation, ``\\wal-stats``;
 * :mod:`repro.durability.faults` — crash-point injection used by the
   recovery test matrix and the E15 benchmark.
 
-An in-memory ``Database()`` never touches this package: the hooks are
+An in-memory single-node ``Database()`` never touches this package
+(a cluster coordinator always logs, to feed its replicas): the hooks are
 ``None`` checks on mutation paths only, so read/query performance is
 unchanged.
 """

@@ -1,31 +1,49 @@
-"""The durability manager: glue between a Database and its data_dir.
+"""The durability manager: the one write-ahead-log front end.
 
-One :class:`DurabilityManager` owns a data directory: the WAL writer,
-checkpoint/truncation logic, and the mutation hooks that turn logical
-changes into WAL records.  Attachment has two shapes:
+One :class:`DurabilityManager` turns a database's logical changes into
+LSN-stamped log records, for a single node and for a cluster
+coordinator alike.  It owns LSN assignment, the optional
+:class:`~repro.durability.wal.WalWriter` (absent while the database has
+no data directory), snapshots, checkpoint/rotation, ``close`` and
+``wal_stats``.
 
-* **fresh or existing directory** (``Database.open`` /
-  ``Database(data_dir=...)``): if the directory holds durable state the
-  target database must be empty and is recovered from it; otherwise an
-  initial checkpoint of the (possibly pre-populated, for
-  ``Database.save``) state is published at LSN 0;
-* after attachment every table gets an ``on_mutate`` hook and the grant
-  registry an ``on_change`` hook, so mutations are logged no matter
-  which API level performed them — including the compensating writes a
-  transaction ROLLBACK issues.
+Attaching a data directory has two shapes:
+
+* **existing durable state** (``Database.open``): the target database
+  must be empty and is recovered from it *before* any hook is
+  installed, so replay never logs its own records again;
+* **fresh directory** (``Database.open`` on an empty one,
+  ``Database.save``): the current state is published as the first
+  snapshot at the current LSN.
+
+After attachment every table gets an ``on_mutate`` hook and the grant
+registry and VPD policy set an ``on_change`` hook, so mutations are
+logged no matter which API level performed them — including the
+compensating writes a transaction ROLLBACK issues.
+
+A cluster coordinator reuses this log through two extension points and
+keeps no copy of it:
+
+* ``on_append(record)`` runs under :attr:`lock` on every record, LSN
+  already set, before the durable write — the coordinator stamps its
+  policy epoch there and keeps its in-memory replication tail;
+* ``on_commit()`` runs after each commit's sync — the coordinator
+  ships to its replicas there.
+
+A single node sets neither, so its records carry no ``epoch``.
 
 Record kinds: ``ddl`` (CREATE TABLE / CREATE VIEW / DROP / AUTHORIZE,
 replayed as SQL), ``row`` (insert/update/delete with stable row ids and
 the validity-cache data version), ``index``, ``grant``/``revoke`` (with
-the resulting registry version — the policy epoch), ``truman``, and
-``participation``.
+the resulting registry version — the policy epoch), ``truman``,
+``vpd``, ``participation``, and ``rebac_namespace``/``rebac_tuple``.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import DurabilityError
 from repro.durability import layout
@@ -48,7 +66,7 @@ class DurabilityManager:
 
     def __init__(
         self,
-        data_dir: str,
+        data_dir: Optional[str] = None,
         sync_policy: str = "group",
         injector: Optional[FaultInjector] = None,
     ):
@@ -57,64 +75,87 @@ class DurabilityManager:
         self.injector = injector
         self.db: Optional["Database"] = None
         self.writer: Optional[WalWriter] = None
+        self.last_lsn = 0
         self.snapshot_lsn = 0
         self.recovery_info: dict = {}
         self.closed = False
         self.commits = 0
         self.checkpoints = 0
-        self._checkpoint_lock = threading.Lock()
+        #: ``on_append(record)``: see the module docstring
+        self.on_append: Optional[Callable[[dict], None]] = None
+        #: ``on_commit()``: see the module docstring
+        self.on_commit: Optional[Callable[[], None]] = None
+        #: serializes appends and checkpoints; a coordinator also holds
+        #: it while it ships to or snapshots for a replica
+        self.lock = threading.RLock()
 
     # -- attachment ------------------------------------------------------
 
     def attach(self, db: "Database") -> None:
-        os.makedirs(self.data_dir, exist_ok=True)
+        """Open ``data_dir`` (if any) for ``db``, then install the hooks."""
         self.db = db
-        if layout.has_durable_data(self.data_dir):
-            if db.catalog.tables() or db.catalog.views():
-                raise DurabilityError(
-                    f"{self.data_dir!r} already holds durable state; it can "
-                    "only be opened into an empty database "
-                    "(use Database.open, not save)"
-                )
-            self.recovery_info = recover(db, self.data_dir)
-            self.snapshot_lsn = self.recovery_info["snapshot_lsn"]
-            segments = layout.list_segments(self.data_dir)
-            tail_base = segments[-1][0] if segments else self.snapshot_lsn
-            self.writer = WalWriter(
-                layout.segment_path(self.data_dir, tail_base),
-                start_lsn=self.recovery_info["last_lsn"] + 1,
-                sync_policy=self.sync_policy,
-                injector=self.injector,
-            )
-        else:
-            # fresh directory: initial checkpoint of the current state
-            # (empty for open(), populated for save()) at LSN 0
-            write_snapshot(
-                layout.snapshot_path(self.data_dir, 0),
-                capture_state(db, 0),
-                self.injector,
-            )
-            self.snapshot_lsn = 0
-            self.writer = WalWriter(
-                layout.segment_path(self.data_dir, 0),
-                start_lsn=1,
-                sync_policy=self.sync_policy,
-                injector=self.injector,
-            )
+        # recovery replays through the normal write paths: with no hook
+        # installed yet, it logs nothing
+        if self.data_dir is not None:
+            self.open_dir(self.data_dir, self.sync_policy)
         db.durability = self
         for table in db._tables.values():
             self.register_table(table)
         db.grants.on_change = self._registry_change
-        db.vpd_policies.on_change = self._vpd_change
+        db.vpd_policies.on_change = self.log_vpd
+
+    def open_dir(self, data_dir: str, sync_policy: str) -> None:
+        """Back the log with ``data_dir``: recover it, or snapshot into it."""
+        with self.lock:
+            if self.writer is not None:
+                raise DurabilityError(
+                    f"database is already durable at {self.data_dir!r}"
+                )
+            os.makedirs(data_dir, exist_ok=True)
+            if layout.has_durable_data(data_dir):
+                db = self.db
+                if db.catalog.tables() or db.catalog.views():
+                    raise DurabilityError(
+                        f"{data_dir!r} already holds durable state; it can "
+                        "only be opened into an empty database "
+                        "(use Database.open, not save)"
+                    )
+                self.recovery_info = recover(db, data_dir)
+                self.snapshot_lsn = self.recovery_info["snapshot_lsn"]
+                self.last_lsn = self.recovery_info["last_lsn"]
+                segments = layout.list_segments(data_dir)
+                tail_base = segments[-1][0] if segments else self.snapshot_lsn
+            else:
+                # the current state (empty for open(), populated for
+                # save()) is the baseline recovery starts from
+                write_snapshot(
+                    layout.snapshot_path(data_dir, self.last_lsn),
+                    capture_state(self.db, self.last_lsn),
+                    self.injector,
+                )
+                self.snapshot_lsn = tail_base = self.last_lsn
+            self.writer = WalWriter(
+                layout.segment_path(data_dir, tail_base),
+                start_lsn=self.last_lsn + 1,
+                sync_policy=sync_policy,
+                injector=self.injector,
+            )
+            self.data_dir = data_dir
+            self.sync_policy = sync_policy
 
     # -- logging hooks ---------------------------------------------------
 
     def _append(self, payload: dict) -> int:
-        if self.closed:
-            raise DurabilityError(
-                f"durable database at {self.data_dir!r} is closed"
-            )
-        return self.writer.append(payload)
+        with self.lock:
+            if self.closed:
+                raise DurabilityError("the database's log is closed")
+            payload["lsn"] = lsn = self.last_lsn + 1
+            if self.on_append is not None:
+                self.on_append(payload)
+            if self.writer is not None:
+                self.writer.append(payload)
+            self.last_lsn = lsn
+            return lsn
 
     def log_ddl(self, sql: str) -> int:
         return self._append({"kind": "ddl", "sql": sql})
@@ -190,13 +231,6 @@ class DurabilityManager:
         payload.update(info)
         self._append(payload)
 
-    def _vpd_change(self, table: str, text: Optional[str], version: int) -> None:
-        # callable policies have no serializable form; they stay
-        # process-local exactly as before VPD records existed
-        if text is None:
-            return
-        self.log_vpd(table, text, version)
-
     def log_vpd(self, table: str, predicate: str, version: int) -> int:
         return self._append(
             {"kind": "vpd", "table": table, "predicate": predicate,
@@ -212,27 +246,32 @@ class DurabilityManager:
     # -- commit / checkpoint ---------------------------------------------
 
     def commit(self) -> None:
-        """Make everything appended so far durable (group commit)."""
+        """Make everything appended so far durable (group commit), then
+        run ``on_commit``."""
         if self.closed:
             return
         self.commits += 1
-        self.writer.sync()
+        if self.writer is not None:
+            self.writer.sync()
+        if self.on_commit is not None:
+            self.on_commit()
 
     def checkpoint(self) -> int:
         """Snapshot the current state and truncate the log behind it.
 
         The caller must have quiesced DML (the gateway checkpoints after
         drain; the CLI and direct API are single-threaded).  Returns the
-        checkpoint LSN.
+        checkpoint LSN; without a data directory there is nothing to
+        snapshot and the LSN is just returned.
         """
-        with self._checkpoint_lock:
+        with self.lock:
             if self.closed:
-                raise DurabilityError(
-                    f"durable database at {self.data_dir!r} is closed"
-                )
+                raise DurabilityError("the database's log is closed")
+            last_lsn = self.last_lsn
+            if self.writer is None:
+                return last_lsn
             if self.injector is not None:
                 self.injector.fire("checkpoint.before_snapshot")
-            last_lsn = self.writer.last_appended_lsn
             self.writer.fsync_now()
             write_snapshot(
                 layout.snapshot_path(self.data_dir, last_lsn),
@@ -263,12 +302,14 @@ class DurabilityManager:
             return last_lsn
 
     def close(self, checkpoint: bool = True) -> None:
-        if self.closed:
-            return
-        if checkpoint:
-            self.checkpoint()
-        self.writer.close()
-        self.closed = True
+        with self.lock:
+            if self.closed:
+                return
+            if checkpoint:
+                self.checkpoint()
+            if self.writer is not None:
+                self.writer.close()
+            self.closed = True
 
     # -- observability ---------------------------------------------------
 
@@ -276,15 +317,16 @@ class DurabilityManager:
         stats: dict[str, object] = {
             "data_dir": self.data_dir,
             "sync_policy": self.sync_policy,
-            "wal_records": self.writer.records_appended,
-            "wal_bytes": self.writer.bytes_appended,
-            "wal_fsyncs": self.writer.fsync_count,
             "wal_commits": self.commits,
-            "wal_last_lsn": self.writer.last_appended_lsn,
-            "wal_synced_lsn": self.writer.synced_lsn,
+            "wal_last_lsn": self.last_lsn,
             "snapshot_lsn": self.snapshot_lsn,
             "checkpoints": self.checkpoints,
         }
+        if self.writer is not None:
+            stats["wal_records"] = self.writer.records_appended
+            stats["wal_bytes"] = self.writer.bytes_appended
+            stats["wal_fsyncs"] = self.writer.fsync_count
+            stats["wal_synced_lsn"] = self.writer.synced_lsn
         if self.recovery_info:
             stats["recovered_wal_records"] = self.recovery_info[
                 "wal_records_replayed"

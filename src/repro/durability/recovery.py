@@ -1,6 +1,8 @@
 """Crash recovery: latest valid snapshot + WAL tail replay.
 
-``Database.open(data_dir)`` funnels here.  The algorithm:
+``Database.open(data_dir)`` and ``ClusterCoordinator.open(data_dir)``
+funnel here, before the durability manager installs its logging hooks
+(so replay never re-logs).  The algorithm:
 
 1. **Choose a snapshot.**  Candidates are tried newest-first; a file
    whose CRC/length check fails is skipped (external corruption) and
@@ -137,7 +139,7 @@ def recover(db: "Database", data_dir: str) -> dict:
     last_lsn = max(snapshot_lsn, 0)
     max_data_version = None
     max_grants_version = None
-    max_epoch = 0
+    policy_epoch = ((state or {}).get("cluster") or {}).get("policy_epoch", 0)
     for position, (base, path) in enumerate(segments):
         records, valid_bytes, torn = read_wal(path)
         if torn:
@@ -168,7 +170,7 @@ def recover(db: "Database", data_dir: str) -> dict:
                     else max(max_grants_version, gv)
                 )
             if "epoch" in record:
-                max_epoch = max(max_epoch, record["epoch"])
+                policy_epoch = max(policy_epoch, record["epoch"])
 
     if max_data_version is not None:
         db.validity_cache.restore_data_version(max_data_version)
@@ -183,10 +185,8 @@ def recover(db: "Database", data_dir: str) -> dict:
         "corrupt_snapshots_skipped": skipped_corrupt,
         "last_lsn": last_lsn,
         "recover_s": time.perf_counter() - started,
-        # cluster extras: the highest policy epoch stamped on a replayed
-        # record, and the snapshot's cluster block (policy epoch at
-        # checkpoint time) — a ClusterWal re-opening durable state
-        # restores its epoch from the max of the two
-        "max_epoch": max_epoch,
-        "cluster": (state or {}).get("cluster"),
+        # a coordinator's policy epoch: the snapshot's cluster stamp,
+        # advanced by the epoch stamps of the replayed records (always 0
+        # on a single node, whose log carries neither)
+        "policy_epoch": policy_epoch,
     }

@@ -148,7 +148,7 @@ def capture_state(db: "Database", last_lsn: int) -> dict:
         )
         for view in db.catalog.views()
     ]
-    return {
+    state = {
         "format": FORMAT,
         "last_lsn": last_lsn,
         "ddl": [_table_ddl(db, schema) for schema in db.catalog.tables()],
@@ -178,6 +178,12 @@ def capture_state(db: "Database", last_lsn: int) -> dict:
             "views_version": db.catalog.views_version,
         },
     }
+    epoch = getattr(db, "policy_epoch", None)
+    if epoch is not None:
+        # a cluster coordinator's replica-routing epoch; recovery
+        # resumes it from here (a single node has none)
+        state["cluster"] = {"policy_epoch": epoch}
+    return state
 
 
 def restore_state(db: "Database", state: dict) -> None:

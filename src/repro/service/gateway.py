@@ -456,7 +456,7 @@ class EnforcementGateway:
             # checkpoint: restart replays nothing and starts from a
             # truncated log
             try:
-                self.db.durability.checkpoint()
+                self.db.checkpoint()
             except (DurabilityError, OSError):
                 pass  # already closed elsewhere, or durability degraded
 
@@ -1011,6 +1011,16 @@ class EnforcementGateway:
                 merged[f"data_version_{name}"] = version
         if self.db.durability is not None:
             merged.update(self.db.durability.wal_stats())
+        cluster_health = getattr(self.db, "cluster_health", None)
+        if cluster_health is not None:
+            # \replicas flattened: replica_<name>_<field> per replica
+            health = cluster_health()
+            merged["replica_divergence"] = health["replica_divergence"]
+            for replica in health["replicas"]:
+                prefix = f"replica_{replica['name']}"
+                for field, value in replica.items():
+                    if field != "name":
+                        merged[f"{prefix}_{field}"] = value
         return merged
 
     def render_stats(self) -> str:

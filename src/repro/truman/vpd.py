@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
+from repro.errors import DurabilityError
 from repro.sql import ast
 from repro.sql.parser import Parser
 from repro.algebra import expr as exprs
@@ -35,11 +36,11 @@ class VpdPolicySet:
         #: bumped on every policy attachment; prepared templates built
         #: under an older policy set are stale (repro.prepared)
         self._version = 0
-        #: ``on_change(table, predicate_text_or_None, version)`` after
-        #: every attachment; the durability/replication layers use it to
-        #: ship the policy.  ``None`` marks a callable policy, which has
+        #: ``on_change(table, predicate_text, version)`` after every
+        #: attachment; the durability manager sets it to log the policy.
+        #: A set with a listener refuses callable policies, which have
         #: no serializable form.
-        self.on_change: Optional[Callable[[str, Optional[str], int], None]] = None
+        self.on_change: Optional[Callable[[str, str, int], None]] = None
         #: (table, predicate text | None) per attachment, in order —
         #: the serializable subset survives snapshots and WAL shipping
         self._texts: list[tuple[str, Optional[str]]] = []
@@ -54,7 +55,11 @@ class VpdPolicySet:
         """Attach a policy to a table.
 
         ``policy`` may be a predicate string (``"student_id = $user_id"``),
-        a pre-parsed expression, or a callable policy function.
+        a pre-parsed expression, or a callable policy function.  A
+        logged database (one with ``on_change`` set) refuses a callable
+        before attaching it: the policy could not survive a restart or
+        reach a replica, so accepting it would enforce it only until
+        then.
         """
         text: Optional[str]
         if isinstance(policy, str):
@@ -71,6 +76,11 @@ class VpdPolicySet:
                 predicate, session.param_values()
             )
         else:
+            if self.on_change is not None:
+                raise DurabilityError(
+                    "a logged database cannot persist or replicate a "
+                    "callable VPD policy; attach it as a predicate string"
+                )
             text = None
             fn = policy
         self._policies.setdefault(table.lower(), []).append(fn)

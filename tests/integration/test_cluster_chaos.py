@@ -77,7 +77,7 @@ class TestRevokeStorm:
         def pause_wiggle():
             # stall shipping at random to widen staleness windows
             while not stop.is_set():
-                for shipper in db.durability.shippers:
+                for shipper in db.shippers:
                     shipper.paused = not shipper.paused
                 time.sleep(0.002)
 
@@ -111,7 +111,7 @@ class TestRevokeStorm:
             stop.set()
             churner.join(timeout=10)
             wiggler.join(timeout=10)
-            for shipper in db.durability.shippers:
+            for shipper in db.shippers:
                 shipper.paused = False
             gateway.shutdown(drain=False)
         assert stale == []
@@ -122,7 +122,7 @@ class TestRevokeStorm:
         db.sync_replicas()
         gateway = EnforcementGateway(db, workers=2)
         try:
-            for shipper in db.durability.shippers:
+            for shipper in db.shippers:
                 shipper.paused = True
             db.grants.revoke("MyGrades", "11")
             for i in range(20):
@@ -136,7 +136,7 @@ class TestRevokeStorm:
                 assert response.status is RequestStatus.REJECTED
                 assert response.replica is None
         finally:
-            for shipper in db.durability.shippers:
+            for shipper in db.shippers:
                 shipper.paused = False
             gateway.shutdown(drain=False)
 
@@ -150,7 +150,7 @@ class TestReplicationFailover:
             db, workers=2, breaker_threshold=2, breaker_cooldown=30.0
         )
         try:
-            db.durability.fail_next_commits = 2
+            db.fail_next_commits = 2
             for i in range(2):
                 response = gateway.execute(
                     QueryRequest(
@@ -183,7 +183,7 @@ class TestReplicationFailover:
 
     def test_ship_fault_surfaces_as_durability_error_then_converges(self):
         db = cluster_db(replicas=1, ship_batch=1)
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         db.execute("insert into Grades values ('77', 'CS9', 4.0)")
         shipper.paused = False
@@ -192,7 +192,7 @@ class TestReplicationFailover:
             db.sync_replicas()
         db.sync_replicas()
         replica = db.replicas[0]
-        assert replica.applied_lsn == db.durability.log.last_lsn
+        assert replica.applied_lsn == db.log.last_lsn
         primary = db.execute_query(
             "select * from Grades", session=SessionContext(), mode="open"
         )
@@ -203,7 +203,7 @@ class TestReplicationFailover:
 
     def test_one_dead_replica_does_not_block_the_other(self):
         db = cluster_db(replicas=2, ship_batch=1)
-        dead, live = db.durability.shippers
+        dead, live = db.shippers
         dead.paused = True  # silent forever
         db.execute("insert into Grades values ('88', 'CS9', 3.0)")
         assert live.lag() == 0

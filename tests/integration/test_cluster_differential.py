@@ -263,7 +263,7 @@ class TestGatewayDifferential:
             assert ok.ok
             # pause shipping so the replica is provably behind, then
             # revoke: the epoch gate must force primary-side rejection
-            for shipper in cluster.durability.shippers:
+            for shipper in cluster.shippers:
                 shipper.paused = True
             cluster.grants.revoke("AuditGrades", "auditor")
             denied = gw.execute(
@@ -276,6 +276,6 @@ class TestGatewayDifferential:
             assert denied.status.name == "REJECTED"
             assert denied.replica is None  # not served by the stale replica
         finally:
-            for shipper in cluster.durability.shippers:
+            for shipper in cluster.shippers:
                 shipper.paused = False
             gw.shutdown()

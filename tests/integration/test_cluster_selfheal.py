@@ -88,7 +88,7 @@ def run_one(db, sql, user, mode, engine):
 class TestFailureDetection:
     def test_partitioned_replica_quarantined_and_unrouted(self):
         db, clock = manual_cluster(replicas=1)
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         assert db.route_read() is db.replicas[0]
         shipper.paused = True  # partition: no liveness evidence
         clock.advance(6.0)
@@ -112,7 +112,7 @@ class TestFailureDetection:
 
     def test_consecutive_ship_failures_quarantine(self):
         db, _ = manual_cluster(replicas=1, failure_threshold=3)
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.fail_next_ships = 3
         for i in range(3):
             # each commit's ship fails; the write itself succeeds
@@ -124,7 +124,7 @@ class TestFailureDetection:
         """Commit-time shipping skips quarantined replicas — the
         catch-up path owns their cursor exclusively."""
         db, _ = manual_cluster(replicas=1)
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         db.health.quarantine("r0", "test")
         ships_before = shipper.ships
         db.execute("insert into Grades values ('95', 'CS1', 1.0)")
@@ -170,7 +170,7 @@ class TestCatchUpStreaming:
         """The acceptance path: a replica killed mid-ship is streamed
         back through catch_up alone — no manual sync_replicas."""
         db, clock = manual_cluster(replicas=1, catchup_chunk=4)
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         for i in range(10):
             db.execute(f"insert into Grades values ('8{i}', 'CS2', 2.0)")
@@ -193,7 +193,7 @@ class TestCatchUpStreaming:
         db, _ = manual_cluster(
             replicas=1, catchup_backoff=0.0001, catchup_backoff_cap=0.001
         )
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         for i in range(6):
             db.execute(f"insert into Grades values ('7{i}', 'CS3', 3.0)")
@@ -212,7 +212,7 @@ class TestCatchUpStreaming:
             replicas=1, catchup_retries=2,
             catchup_backoff=0.0001, catchup_backoff_cap=0.001,
         )
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         db.execute("insert into Grades values ('70', 'CS3', 3.0)")
         shipper.paused = False
@@ -229,7 +229,7 @@ class TestCatchUpStreaming:
 
     def test_paused_replica_catch_up_aborts(self):
         db, _ = manual_cluster(replicas=1)
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         with pytest.raises(ReplicaUnavailable):
             db.catch_up("r0")
@@ -241,7 +241,7 @@ class TestCatchUpStreaming:
         then serve the exact same rows."""
         db = cluster_db(replicas=0, shards=2, data_dir=str(tmp_path))
         db.checkpoint()
-        assert db.durability.log.base_lsn > 0
+        assert db.log.base_lsn > 0
         replica = db.add_replica("late")
         assert replica.bootstraps == 1
         assert db.health.state_of("late") == HEALTHY
@@ -254,7 +254,7 @@ class TestCatchUpStreaming:
 
     def test_auto_catchup_heals_on_tick(self):
         db, clock = manual_cluster(replicas=1, auto_catchup=True)
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         db.execute("insert into Grades values ('60', 'CS0', 2.5)")
         clock.advance(20.0)
@@ -319,7 +319,7 @@ class TestAntiEntropy:
         """Catch-up's rejoin gate runs the same digest comparison: a
         replica corrupted while quarantined re-bootstraps on rejoin."""
         db, clock = manual_cluster(replicas=1)
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         db.execute("insert into Grades values ('50', 'CS1', 1.5)")
         clock.advance(20.0)
@@ -378,7 +378,7 @@ class TestFlappingStorm:
             # partitions long enough to quarantine, plus stream faults
             n = 0
             while not stop.is_set():
-                shipper = db.durability.shippers[n % 2]
+                shipper = db.shippers[n % 2]
                 shipper.paused = True
                 time.sleep(0.001 + (n % 5) * 0.012)
                 shipper.paused = False
@@ -437,7 +437,7 @@ class TestFlappingStorm:
             for thread in threads:
                 thread.join(timeout=10)
             hung = [t for t in threads if t.is_alive()]
-            for shipper in db.durability.shippers:
+            for shipper in db.shippers:
                 shipper.paused = False
                 shipper.truncate_next_ships = 0
             gateway.shutdown(drain=False)
@@ -558,7 +558,7 @@ class TestClusterRestart:
         for op in SEED_OPS:
             op(db)
         db.sync_replicas()
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         if point == "wal.torn_append":
             for op in TAIL_OPS[:-1]:
                 op(db)

@@ -428,12 +428,12 @@ class TestTupleWritePropagation:
         db.rebac.write_tuple("document:d0", "viewer", f"user:{user}")
         db.sync_replicas()
         assert db.route_read() is not None
-        for shipper in db.durability.shippers:
+        for shipper in db.shippers:
             shipper.paused = True
         db.rebac.delete_tuple("document:d0", "viewer", f"user:{user}")
         # policy epoch bumped at append: no replica is fit to serve
         assert db.route_read() is None
-        for shipper in db.durability.shippers:
+        for shipper in db.shippers:
             shipper.paused = False
         db.sync_replicas()
         assert db.route_read() is not None
@@ -471,7 +471,7 @@ class TestTupleWritePropagation:
 
         def pause_wiggle():
             while not stop.is_set():
-                for shipper in db.durability.shippers:
+                for shipper in db.shippers:
                     shipper.paused = not shipper.paused
                 time.sleep(0.002)
 
@@ -502,7 +502,7 @@ class TestTupleWritePropagation:
             stop.set()
             churner.join(timeout=10)
             wiggler.join(timeout=10)
-            for shipper in db.durability.shippers:
+            for shipper in db.shippers:
                 shipper.paused = False
             gateway.shutdown(drain=False)
         assert stale == []
@@ -538,7 +538,7 @@ class TestAutoShip:
         for i in range(60):
             db.execute(f"insert into Events values ('e{i}', 'payload {i}')")
             max_lag = max(max_lag, db.replica_lag())
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         assert max_lag <= bound
         assert shipper.auto_ships > 0
         # the replica trails by at most the bound (never full batches)
@@ -557,7 +557,7 @@ class TestAutoShip:
         for i in range(60):
             db.execute(f"insert into Events values ('e{i}', 'payload {i}')")
         assert db.replica_lag() > 4
-        assert db.durability.shippers[0].auto_ships == 0
+        assert db.shippers[0].auto_ships == 0
 
 
 class TestDurability:

@@ -41,10 +41,10 @@ class TestReplayIdempotence:
         replica = db.replicas[0]
         applied = replica.records_applied
         rows_before = list(replica.database.table("Grades").rows_with_ids())
-        for record in db.durability.log.records:
+        for record in db.log.records:
             assert replica.apply(dict(record)) is False
         assert replica.records_applied == applied
-        assert replica.duplicates_skipped == len(db.durability.log.records)
+        assert replica.duplicates_skipped == len(db.log.records)
         assert (
             list(replica.database.table("Grades").rows_with_ids())
             == rows_before
@@ -57,7 +57,7 @@ class TestReplayIdempotence:
         stats = replica.database.prepared.stats()
         before = stats["prepared_user_invalidations"]
         grant_record = next(
-            r for r in db.durability.log.records if r["kind"] == "grant"
+            r for r in db.log.records if r["kind"] == "grant"
         )
         gv = replica.database.grants.version
         assert replica.apply(dict(grant_record)) is False
@@ -76,7 +76,7 @@ class TestReplayIdempotence:
             assert response.ok and response.replica is not None
             audited = gateway.audit.total_recorded
             replica = db.replicas[0]
-            for record in db.durability.log.records:
+            for record in db.log.records:
                 replica.apply(dict(record))
             assert gateway.audit.total_recorded == audited
         finally:
@@ -84,7 +84,7 @@ class TestReplayIdempotence:
 
     def test_reshipping_after_partial_failure_converges(self):
         db = cluster_db()
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         db.execute("insert into Grades values ('13', 'CS102', 3.0)")
         shipper.paused = False
@@ -94,7 +94,7 @@ class TestReplayIdempotence:
         shipped = db.sync_replicas()  # retry ships the same range again
         assert shipped >= 1
         replica = db.replicas[0]
-        assert replica.applied_lsn == db.durability.log.last_lsn
+        assert replica.applied_lsn == db.log.last_lsn
         result = replica.database.execute_query(
             "select count(*) from Grades", session=S(None), mode="open"
         )
@@ -106,7 +106,7 @@ class TestEpochRouting:
         db = cluster_db()
         replica = db.replicas[0]
         assert db.route_read() is replica
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         db.grants.revoke("MyGrades", "11")
         # the epoch bump happens at append time: the replica is
@@ -128,7 +128,7 @@ class TestEpochRouting:
         )
         db.execute("create table T (a int primary key)")
         db.sync_replicas()
-        shipper = db.durability.shippers[0]
+        shipper = db.shippers[0]
         shipper.paused = True
         db.execute("insert into T values (1)")  # data lag, no policy change
         assert db.route_read() is None
@@ -161,7 +161,7 @@ class TestEpochRouting:
         db = cluster_db(replicas=0)
         db.execute("insert into Grades values ('14', 'CS103', 1.0)")
         replica = db.add_replica("late")
-        assert replica.applied_lsn == db.durability.log.last_lsn
+        assert replica.applied_lsn == db.log.last_lsn
         result = replica.database.execute_query(
             "select grade from MyGrades", session=S("11"), mode="non-truman"
         )
