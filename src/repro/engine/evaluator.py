@@ -84,16 +84,30 @@ def compare(op: str, left: object, right: object) -> Optional[bool]:
 
 
 class Evaluator:
-    """Evaluates bound scalar expressions against a row."""
+    """Evaluates bound scalar expressions against a row.
+
+    Each column reference is resolved to its row ordinal the first time
+    a row needs it and memoised for the instance's lifetime; an
+    evaluator serves one operator over one row shape.  Resolution stays
+    lazy, so an unresolvable reference fails on the first row evaluated
+    and never over an empty input.
+    """
 
     def __init__(self, resolver: RowResolver):
         self.resolver = resolver
+        #: id(ref) -> (ordinal, ref).  Keyed by identity because hashing a
+        #: dataclass costs about as much as resolving the name; holding
+        #: ``ref`` keeps its id from being reused by another object.
+        self._ordinals: dict[int, tuple[int, ast.ColumnRef]] = {}
 
     def evaluate(self, expr: ast.Expr, row: tuple) -> object:
         if isinstance(expr, ast.Literal):
             return expr.value
         if isinstance(expr, ast.ColumnRef):
-            return row[self.resolver.ordinal(expr)]
+            bound = self._ordinals.get(id(expr))
+            if bound is None:
+                bound = self._ordinals[id(expr)] = (self.resolver.ordinal(expr), expr)
+            return row[bound[0]]
         if isinstance(expr, ast.BinaryOp):
             return self._binary(expr, row)
         if isinstance(expr, ast.UnaryOp):

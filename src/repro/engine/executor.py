@@ -12,6 +12,7 @@ relative plan shapes.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Optional, Protocol
 
 from repro.errors import ExecutionError
@@ -150,18 +151,32 @@ class Executor:
 
     def _execute_project(self, plan: ops.Project) -> list[tuple]:
         rows = self.execute(plan.child)
-        evaluator = Evaluator(RowResolver(plan.child.columns))
         compiled = [expr for expr, _ in plan.exprs]
+        if rows and compiled and all(isinstance(e, ast.ColumnRef) for e in compiled):
+            # Bound only over a non-empty input: an unresolvable reference
+            # fails where the first row would, and never on an empty one.
+            resolver = RowResolver(plan.child.columns)
+            ordinals = [resolver.ordinal(expr) for expr in compiled]
+            first = ordinals[0]
+            # itemgetter of one ordinal returns a bare value; a slice keeps a tuple
+            project = (
+                itemgetter(*ordinals)
+                if len(ordinals) > 1
+                else itemgetter(slice(first, first + 1))
+            )
+        else:
+            evaluator = Evaluator(RowResolver(plan.child.columns))
+
+            def project(row):
+                return tuple(evaluator.evaluate(expr, row) for expr in compiled)
+
         qctx = self.qctx
         if qctx is None:
-            return [
-                tuple(evaluator.evaluate(expr, row) for expr in compiled)
-                for row in rows
-            ]
+            return list(map(project, rows))
         result = []
         for row in rows:
             qctx.tick(1, len(compiled))
-            result.append(tuple(evaluator.evaluate(expr, row) for expr in compiled))
+            result.append(project(row))
         return result
 
     def _execute_distinct(self, plan: ops.Distinct) -> list[tuple]:

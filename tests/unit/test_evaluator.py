@@ -174,3 +174,17 @@ class TestResolver:
 
         with pytest.raises(ExecutionError):
             resolver.ordinal(ast.ColumnRef("a", "zz"))
+
+    def test_short_lived_references_resolve_by_name(self):
+        """The evaluator's ordinal memo is keyed by identity: a reference
+        built and dropped per call must not lend its id, and so its
+        ordinal, to the next one allocated at the same address."""
+        from repro.sql import ast
+
+        evaluator = Evaluator(RowResolver((OutCol("t", "a"), OutCol("t", "b"))))
+        values = [
+            evaluator.evaluate(ast.ColumnRef("t", name), (1, 2))
+            for _ in range(100)
+            for name in ("a", "b")
+        ]
+        assert values == [1, 2] * 100

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.algebra import ops
 from repro.db import Database
+from repro.engine.executor import Executor
+from repro.errors import ExecutionError
+from repro.sql import ast
 
 
 @pytest.fixture
@@ -217,3 +221,78 @@ class TestViewScanArity:
         stale = ops.ViewRel("SomeRows", "v", ("id",))
         with pytest.raises(ExecutionError, match="expected 1"):
             db.run_plan(stale, engine=engine)
+
+
+# -- lazy column resolution ----------------------------------------------
+
+LAZY_COLUMNS = ("id", "grp")
+LAZY_TABLES = {"Full": [(1, "a"), (2, "b")], "Empty": []}
+UNRESOLVABLE = ast.ColumnRef("t", "zz")
+
+
+class LazyContext:
+    """Row-only host: two tables and one view that scans the full one."""
+
+    def table_rows(self, name):
+        return LAZY_TABLES[name]
+
+    def view_plan(self, name, access_args=()):
+        return ops.Rel("Full", "v", LAZY_COLUMNS)
+
+
+def lazy_plans(table: str) -> dict:
+    """One plan per expression-evaluating operator, each reading the
+    unresolvable ``t.zz`` over a scan of ``table`` bound as ``t``."""
+    child = ops.Rel(table, "t", LAZY_COLUMNS)
+    right = ops.Rel("Full", "u", LAZY_COLUMNS)
+    bad, good, other = UNRESOLVABLE, ast.ColumnRef("t", "id"), ast.ColumnRef("u", "id")
+    is_one = ast.BinaryOp("=", bad, ast.Literal(1))
+    count = ast.FuncCall("count", (ast.Star(),))
+    return {
+        "select": ops.Select(child, is_one),
+        "project columns": ops.Project(child, ((good, "id"), (bad, "zz"))),
+        "project one column": ops.Project(child, ((bad, "zz"),)),
+        "project expression": ops.Project(
+            child, ((ast.BinaryOp("+", bad, ast.Literal(1)), "zz"),)
+        ),
+        "join residual": ops.Join(
+            child, right, "inner",
+            ast.BinaryOp("and", ast.BinaryOp("=", good, other), is_one),
+        ),
+        "nested-loop join": ops.Join(
+            child, right, "inner", ast.BinaryOp("<", bad, other)
+        ),
+        "aggregate group": ops.Aggregate(child, ((bad, "g"),), ((count, "n"),)),
+        "aggregate argument": ops.Aggregate(
+            child, ((good, "id"),), ((ast.FuncCall("sum", (bad,)), "s"),)
+        ),
+        "sort": ops.Sort(child, ((bad, False),)),
+        "semi-join operand": ops.SemiJoin(
+            child, ops.Project(right, ((other, "id"),)), operand=bad
+        ),
+        "dependent-join key": ops.DependentJoin(
+            child, "V", "v", LAZY_COLUMNS, "p", key_expr=bad
+        ),
+        "dependent-join predicate": ops.DependentJoin(
+            child, "V", "v", LAZY_COLUMNS, "p", key_expr=good, predicate=is_one
+        ),
+    }
+
+
+class TestLazyColumnResolution:
+    """Every row-engine operator that evaluates expressions binds a column
+    reference to its row ordinal lazily: an unresolvable reference
+    answers ``[]`` over an empty input and raises the resolver's error on
+    the first row of a non-empty one."""
+
+    @pytest.mark.parametrize("operator", list(lazy_plans("Empty")))
+    def test_empty_input_answers_nothing(self, operator):
+        plan = lazy_plans("Empty")[operator]
+        assert Executor(LazyContext()).execute(plan) == []
+
+    @pytest.mark.parametrize("operator", list(lazy_plans("Full")))
+    def test_first_row_raises_the_resolver_error(self, operator):
+        plan = lazy_plans("Full")[operator]
+        with pytest.raises(ExecutionError) as raised:
+            Executor(LazyContext()).execute(plan)
+        assert str(raised.value) == "cannot resolve column t.zz at runtime"
