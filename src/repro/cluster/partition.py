@@ -343,12 +343,6 @@ class PartitionedTable:
             self.on_mutate("update", row_id, new, old)
         return old
 
-    def delete_where(self, predicate: Callable[[tuple], bool]) -> int:
-        doomed = [rid for rid, row in self.rows_with_ids() if predicate(row)]
-        for rid in doomed:
-            self.delete_row(rid)
-        return len(doomed)
-
     def truncate(self) -> None:
         for rid in list(self._rid_to_shard):
             self.delete_row(rid)

@@ -43,6 +43,7 @@ from repro.errors import (
     UnsupportedFeatureError,
 )
 from repro.sql import ast, parse_statement, parse_statements, render
+from repro.algebra import expr as exprs
 from repro.algebra import ops
 from repro.algebra.translate import Translator
 from repro.authviews.registry import GrantRegistry, PUBLIC
@@ -52,7 +53,7 @@ from repro.catalog.catalog import Catalog, ViewDef
 from repro.catalog.constraints import TotalParticipation
 from repro.engine import ENGINES, make_executor
 from repro.engine.evaluator import Evaluator, RowResolver
-from repro.engine.executor import Executor
+from repro.optimizer.pushdown import probe_row_ids
 from repro.prepared import (
     PREPARABLE_MODES,
     PreparedFallback,
@@ -386,11 +387,11 @@ class Database:
         if isinstance(statement, ast.TransactionStmt):
             return self._transaction(statement.action)
         if isinstance(statement, ast.Insert):
-            return self._insert(statement, session, mode)
+            return self._dml(self._insert, statement, session, mode)
         if isinstance(statement, ast.Update):
-            return self._update(statement, session, mode)
+            return self._dml(self._update, statement, session, mode)
         if isinstance(statement, ast.Delete):
-            return self._delete(statement, session, mode)
+            return self._dml(self._delete, statement, session, mode)
         raise UnsupportedFeatureError(
             f"cannot execute statement {type(statement).__name__}"
         )
@@ -684,14 +685,84 @@ class Database:
     # -- DML with integrity + update authorization --------------------------------
 
     def _eval_const(self, expr: ast.Expr, session: SessionContext) -> object:
-        from repro.algebra import expr as exprs
-
         bound = exprs.substitute_params(expr, session.param_values())
         evaluator = Evaluator(RowResolver(()))
         return evaluator.evaluate(bound, ())
 
-    def _insert(self, statement: ast.Insert, session: SessionContext, mode: str) -> int:
+    def _row_evaluator(self, schema) -> Evaluator:
+        """Evaluator over one stored row of ``schema``; bare and
+        ``Table.column`` references both resolve."""
+        return Evaluator(
+            RowResolver(tuple(ops.OutCol(schema.name, c) for c in schema.column_names))
+        )
+
+    def _rows_where(
+        self,
+        table: Table,
+        where: Optional[ast.Expr],
+        session: Optional[SessionContext] = None,
+    ) -> list[tuple[int, tuple]]:
+        """The write path's one row finder: the ``(row_id, row)`` pairs
+        of ``table`` satisfying ``where`` (None = every row), in id order.
+
+        ``$`` parameters bind from ``session``.  The index decision is
+        the vectorized scan's (:func:`probe_row_ids`), so only the rows
+        an index probe fetches meet the residual predicate.
+        """
+        schema = table.schema
+        if where is not None and session is not None:
+            where = exprs.substitute_params(where, session.param_values())
+        rel = ops.Rel(schema.name, schema.name, tuple(schema.column_names))
+        row_ids, residual = probe_row_ids(table, rel, where)
+        if row_ids is None:
+            candidates = list(table.rows_with_ids())
+        else:
+            candidates = [(rid, table.get_row(rid)) for rid in row_ids]
+        if residual is None:
+            return candidates
+        evaluator = self._row_evaluator(schema)
+        return [c for c in candidates if evaluator.matches(residual, c[1])]
+
+    def _rows_with_key(
+        self,
+        table: Table,
+        columns: Iterable[str],
+        key: tuple,
+        where: Optional[ast.Expr] = None,
+    ) -> list[tuple[int, tuple]]:
+        """Rows of ``table`` whose ``columns`` equal ``key`` (SQL ``=``,
+        so a NULL matches nothing) and that satisfy ``where``."""
+        equalities = [
+            ast.BinaryOp("=", ast.ColumnRef(None, column), ast.Literal(value))
+            for column, value in zip(columns, key)
+        ]
+        predicate = exprs.make_conjunction(equalities + exprs.conjuncts(where))
+        return self._rows_where(table, predicate)
+
+    def _dml(self, handler, statement: ast.Statement,
+             session: SessionContext, mode: str) -> int:
+        """Run one INSERT, UPDATE or DELETE through its ``handler``,
+        atomically.
+
+        The handler records its changes in a statement undo list.  If
+        the statement raises, the list is undone before the error
+        propagates, so a rejected or failed statement leaves no change
+        behind.  Inside a transaction, the list joins the transaction's
+        undo log on success.
+        """
         self.validity_cache.invalidate_data()
+        undo: list[tuple] = []
+        try:
+            count = handler(statement, session, mode, undo)
+        except BaseException:
+            self._undo(undo)
+            raise
+        if self._txn_log is not None:
+            self._txn_log.extend(undo)
+        return count
+
+    def _insert(self, statement: ast.Insert, session: SessionContext,
+                mode: str, undo: list) -> int:
         table = self.table(statement.table)
         schema = table.schema
         if statement.query is not None:
@@ -703,7 +774,7 @@ class Database:
                 for row in statement.rows
             ]
 
-        count = 0
+        rows = []
         for values in value_rows:
             if statement.columns:
                 if len(values) != len(statement.columns):
@@ -714,107 +785,60 @@ class Database:
                 full = [None] * len(schema.columns)
                 for col_name, value in zip(statement.columns, values):
                     full[schema.column_index(col_name)] = value
-                row = tuple(full)
+                rows.append(tuple(full))
             else:
-                row = tuple(values)
-            self._check_row_constraints(schema.name, row)
-            if mode != "open":
+                rows.append(tuple(values))
+        if mode != "open":
+            for row in rows:
                 self.update_authorizer.check_insert(schema.name, row, session)
-            row_id = table.insert(row)
-            self._log_undo(("insert", schema.name, row_id))
-            count += 1
-        return count
+        for row in rows:
+            self._check_row_constraints(schema.name, row)
+            undo.append(("insert", schema.name, table.insert(row), None))
+        return len(rows)
 
-    def _update(self, statement: ast.Update, session: SessionContext, mode: str) -> int:
-        self.validity_cache.invalidate_data()
+    def _update(self, statement: ast.Update, session: SessionContext,
+                mode: str, undo: list) -> int:
         table = self.table(statement.table)
         schema = table.schema
-        binding = schema.name
-        resolver = RowResolver(
-            tuple(ops.OutCol(binding, c) for c in schema.column_names)
-        )
-        evaluator = Evaluator(resolver)
-        from repro.algebra import expr as exprs
-
-        def bind(expr: ast.Expr) -> ast.Expr:
-            expr = exprs.substitute_params(expr, session.param_values())
-
-            def visit(node):
-                if isinstance(node, ast.ColumnRef) and node.table is None:
-                    return ast.ColumnRef(binding, node.name)
-                return None
-
-            return exprs.transform(expr, visit)
-
-        where = bind(statement.where) if statement.where is not None else None
+        evaluator = self._row_evaluator(schema)
+        params = session.param_values()
         assignments = [
-            (schema.column_index(col), bind(expr)) for col, expr in statement.assignments
+            (schema.column_index(col), exprs.substitute_params(expr, params))
+            for col, expr in statement.assignments
         ]
-        changed_columns = tuple(col for col, _ in statement.assignments)
-
-        count = 0
-        for row_id, row in list(table.rows_with_ids()):
-            if where is not None and not evaluator.matches(where, row):
-                continue
+        changes = []
+        for row_id, row in self._rows_where(table, statement.where, session):
             new_row = list(row)
             for ordinal, expr in assignments:
                 new_row[ordinal] = evaluator.evaluate(expr, row)
-            new_tuple = tuple(new_row)
-            self._check_row_constraints(schema.name, new_tuple, ignore_row_id=row_id)
-            if mode != "open":
+            changes.append((row_id, row, tuple(new_row)))
+        if mode != "open":
+            changed_columns = tuple(col for col, _ in statement.assignments)
+            for _, row, new_row in changes:
                 self.update_authorizer.check_update(
-                    schema.name, row, new_tuple, changed_columns, session
+                    schema.name, row, new_row, changed_columns, session
                 )
-            old = table.update_row(row_id, new_tuple)
-            self._log_undo(("update", schema.name, row_id, old))
-            count += 1
-        return count
+        for row_id, _, new_row in changes:
+            self._check_row_constraints(schema.name, new_row)
+            old = table.update_row(row_id, new_row)
+            undo.append(("update", schema.name, row_id, old))
+        return len(changes)
 
-    def _delete(self, statement: ast.Delete, session: SessionContext, mode: str) -> int:
-        self.validity_cache.invalidate_data()
+    def _delete(self, statement: ast.Delete, session: SessionContext,
+                mode: str, undo: list) -> int:
         table = self.table(statement.table)
         schema = table.schema
-        binding = schema.name
-        resolver = RowResolver(
-            tuple(ops.OutCol(binding, c) for c in schema.column_names)
-        )
-        evaluator = Evaluator(resolver)
-        from repro.algebra import expr as exprs
-
-        where = None
-        if statement.where is not None:
-            where = exprs.substitute_params(
-                statement.where, session.param_values()
-            )
-
-            def visit(node):
-                if isinstance(node, ast.ColumnRef) and node.table is None:
-                    return ast.ColumnRef(binding, node.name)
-                return None
-
-            where = exprs.transform(where, visit)
-
-        count = 0
-        for row_id, row in list(table.rows_with_ids()):
-            if where is not None and not evaluator.matches(where, row):
-                continue
-            self._check_no_referencing_rows(schema.name, row)
-            if mode != "open":
+        targets = self._rows_where(table, statement.where, session)
+        if mode != "open":
+            for _, row in targets:
                 self.update_authorizer.check_delete(schema.name, row, session)
-            deleted = table.delete_row(row_id)
-            self._log_undo(("delete", schema.name, deleted))
-            count += 1
-        return count
+        for row_id, row in targets:
+            self._check_no_referencing_rows(schema.name, row)
+            table.delete_row(row_id)
+            undo.append(("delete", schema.name, row_id, row))
+        return len(targets)
 
     # -- transactions -----------------------------------------------------------------
-
-    def _log_undo(self, entry: tuple) -> None:
-        if self._txn_log is not None:
-            self._txn_log.append(entry)
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._txn_log is not None
 
     def begin(self) -> None:
         """Start a transaction; DML until COMMIT/ROLLBACK is undoable."""
@@ -833,15 +857,19 @@ class Database:
         if self._txn_log is None:
             raise ExecutionError("no active transaction")
         log, self._txn_log = self._txn_log, None
-        for entry in reversed(log):
-            kind = entry[0]
-            table = self.table(entry[1])
+        self._undo(log)
+
+    def _undo(self, log: list[tuple]) -> None:
+        """Reverse the ``(kind, table, row_id, row)`` changes in ``log``,
+        newest first.  A deleted row comes back under its old row id."""
+        for kind, name, row_id, row in reversed(log):
+            table = self.table(name)
             if kind == "insert":
-                table.delete_row(entry[2])
+                table.delete_row(row_id)
             elif kind == "update":
-                table.update_row(entry[2], entry[3])
-            elif kind == "delete":
-                table.insert(entry[2])
+                table.update_row(row_id, row)
+            else:
+                table.insert(row, row_id=row_id)
         self.validity_cache.invalidate_data()
 
     def _transaction(self, action: str) -> None:
@@ -854,29 +882,15 @@ class Database:
 
     # -- constraint enforcement -----------------------------------------------------
 
-    def _check_row_constraints(
-        self, table_name: str, row: tuple, ignore_row_id: Optional[int] = None
-    ) -> None:
+    def _check_row_constraints(self, table_name: str, row: tuple) -> None:
         """CHECK predicates and foreign keys for one candidate row.
 
         NOT NULL and uniqueness are enforced by the storage layer.
         """
         schema = self.catalog.table(table_name)
-        resolver = RowResolver(
-            tuple(ops.OutCol(table_name, c) for c in schema.column_names)
-        )
-        evaluator = Evaluator(resolver)
-        from repro.algebra import expr as exprs
-
+        evaluator = self._row_evaluator(schema)
         for check in self.catalog.checks_for(table_name):
-
-            def visit(node):
-                if isinstance(node, ast.ColumnRef) and node.table is None:
-                    return ast.ColumnRef(table_name, node.name)
-                return None
-
-            predicate = exprs.transform(check.predicate, visit)
-            if evaluator.evaluate(predicate, row) is False:
+            if evaluator.evaluate(check.predicate, row) is False:
                 raise IntegrityError(
                     f"CHECK constraint violated on {table_name}: {check.predicate}"
                 )
@@ -887,20 +901,15 @@ class Database:
                 continue
             ref_table = self.table(fk.ref_table)
             index = ref_table.find_index(fk.ref_columns)
-            if index is not None:
-                if index.lookup(key):
-                    continue
-            else:
-                ref_schema = ref_table.schema
-                ordinals = [ref_schema.column_index(c) for c in fk.ref_columns]
-                if any(
-                    tuple(r[o] for o in ordinals) == key for r in ref_table.rows()
-                ):
-                    continue
-            raise IntegrityError(
-                f"foreign key violation: {table_name}({', '.join(fk.columns)}) = "
-                f"{key!r} has no match in {fk.ref_table}"
-            )
+            if not (
+                index.lookup(key)
+                if index is not None
+                else self._rows_with_key(ref_table, fk.ref_columns, key)
+            ):
+                raise IntegrityError(
+                    f"foreign key violation: {table_name}({', '.join(fk.columns)}) = "
+                    f"{key!r} has no match in {fk.ref_table}"
+                )
 
     def _check_no_referencing_rows(self, table_name: str, row: tuple) -> None:
         """RESTRICT semantics: refuse to delete a referenced row."""
@@ -909,14 +918,10 @@ class Database:
             if fk.ref_table.lower() != table_name.lower():
                 continue
             key = tuple(row[schema.column_index(c)] for c in fk.ref_columns)
-            referencing = self.table(fk.table)
-            ref_schema = referencing.schema
-            ordinals = [ref_schema.column_index(c) for c in fk.columns]
-            for other in referencing.rows():
-                if tuple(other[o] for o in ordinals) == key:
-                    raise IntegrityError(
-                        f"cannot delete from {table_name}: row referenced by {fk.table}"
-                    )
+            if self._rows_with_key(self.table(fk.table), fk.columns, key):
+                raise IntegrityError(
+                    f"cannot delete from {table_name}: row referenced by {fk.table}"
+                )
 
     def analyze(self) -> None:
         """Refresh optimizer statistics (row and distinct counts)."""
@@ -939,43 +944,18 @@ class Database:
         Used by tests and workload generators; these constraints are
         assertions consumed by the inference rules, not enforced on DML.
         """
-        from repro.algebra import expr as exprs
-
         violations: list[str] = []
         for constraint in self.catalog.participations():
             core = self.table(constraint.core_table)
             remainder = self.table(constraint.remainder_table)
-            core_schema = core.schema
-            rem_schema = remainder.schema
-
-            core_resolver = RowResolver(
-                tuple(ops.OutCol(None, c) for c in core_schema.column_names)
-            )
-            rem_resolver = RowResolver(
-                tuple(ops.OutCol(None, c) for c in rem_schema.column_names)
-            )
-            core_eval = Evaluator(core_resolver)
-            rem_eval = Evaluator(rem_resolver)
-
-            rem_rows = [
-                r
-                for r in remainder.rows()
-                if constraint.remainder_pred is None
-                or rem_eval.matches(constraint.remainder_pred, r)
-            ]
-            rem_ordinals = [
-                rem_schema.column_index(rc) for _, rc in constraint.join_pairs
-            ]
-            rem_keys = {tuple(r[o] for o in rem_ordinals) for r in rem_rows}
             core_ordinals = [
-                core_schema.column_index(cc) for cc, _ in constraint.join_pairs
+                core.schema.column_index(cc) for cc, _ in constraint.join_pairs
             ]
-            for row in core.rows():
-                if constraint.core_pred is not None and not core_eval.matches(
-                    constraint.core_pred, row
-                ):
-                    continue
+            rem_columns = [rc for _, rc in constraint.join_pairs]
+            for _, row in self._rows_where(core, constraint.core_pred):
                 key = tuple(row[o] for o in core_ordinals)
-                if key not in rem_keys:
+                if not self._rows_with_key(
+                    remainder, rem_columns, key, constraint.remainder_pred
+                ):
                     violations.append(f"{constraint}: core row {row!r} unmatched")
         return violations

@@ -10,7 +10,7 @@ vectors:
   closures over column vectors (:mod:`repro.engine.vectorized.compile`),
   eliminating the per-row AST walk that dominates the row engine;
 * ``σ_{col = literal}(Rel)`` scans consult
-  :func:`repro.optimizer.pushdown.annotate_scan` and, when a
+  :func:`repro.optimizer.pushdown.probe_row_ids` and, when a
   single-column :class:`repro.storage.HashIndex` exists, probe it
   instead of scanning — ``rows_scanned`` then counts only fetched rows;
 * joins are hash joins over batches (selection-vector gather, no
@@ -45,7 +45,7 @@ from repro.engine.vectorized.batch import (
     rows_from_batches,
 )
 from repro.engine.vectorized.compile import compile_scalar, selection_vector
-from repro.optimizer.pushdown import annotate_scan, split_pushable_equalities
+from repro.optimizer.pushdown import probe_row_ids, split_pushable_equalities
 
 #: default number of rows per column batch
 BATCH_SIZE = 1024
@@ -169,37 +169,26 @@ class VectorizedExecutor:
                     table = fragment
                     self.pruned_scans += 1
 
-        if table is not None and predicate is not None:
-            annotation = annotate_scan(
-                rel,
-                predicate,
-                lambda name, cols: table.find_index(cols) is not None,
-            )
-            if annotation.probe is not None:
-                index = table.find_index(annotation.probe_columns)
-                row_ids = sorted(index.lookup((annotation.probe.value,)))
-                rows = [table.get_row(rid) for rid in row_ids]
-                self.rows_scanned += len(rows)
-                self.index_probes += 1
-                self._tick(len(rows), len(rows) * width)
-                batches = list(
-                    batches_from_rows(rows, width, self.batch_size)
-                )
-                if annotation.residual is None:
-                    return batches
-                return self._filter_batches(
-                    batches, annotation.residual, rel.columns
-                )
-
-        rows = list(
-            table.rows() if table is not None else self.context.table_rows(rel.name)
+        row_ids, residual = (
+            probe_row_ids(table, rel, predicate)
+            if table is not None
+            else (None, predicate)
         )
+        if row_ids is not None:
+            rows = [table.get_row(rid) for rid in row_ids]
+            self.index_probes += 1
+        else:
+            rows = list(
+                table.rows()
+                if table is not None
+                else self.context.table_rows(rel.name)
+            )
         self.rows_scanned += len(rows)
         self._tick(len(rows), len(rows) * width)
         batches = list(batches_from_rows(rows, width, self.batch_size))
-        if predicate is None:
+        if residual is None:
             return batches
-        return self._filter_batches(batches, predicate, rel.columns)
+        return self._filter_batches(batches, residual, rel.columns)
 
     def _view_scan(self, plan: ops.ViewRel) -> list[ColumnBatch]:
         inner = self.context.view_plan(plan.name, plan.access_args)

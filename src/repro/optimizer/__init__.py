@@ -31,6 +31,7 @@ from repro.optimizer.pushdown import (
     PushableEquality,
     ScanAnnotation,
     annotate_scan,
+    probe_row_ids,
     split_pushable_equalities,
 )
 
@@ -47,5 +48,6 @@ __all__ = [
     "PushableEquality",
     "ScanAnnotation",
     "annotate_scan",
+    "probe_row_ids",
     "split_pushable_equalities",
 ]

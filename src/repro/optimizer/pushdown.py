@@ -12,7 +12,11 @@ plumbing:
   (candidate index probes) and a residual predicate;
 * :func:`annotate_scan` — combine the split with the physical question
   "does a single-column hash index on that column actually exist?" and
-  produce a :class:`ScanAnnotation` naming the chosen probe.
+  produce a :class:`ScanAnnotation` naming the chosen probe;
+* :func:`probe_row_ids` — run that probe against a table: the row ids
+  it fetches plus the residual still to apply.  The vectorized scan and
+  the write path's row finder (``Database._rows_where``) both call it,
+  so a DELETE's WHERE uses the index a SELECT's would.
 
 Only *top-level conjuncts* qualify: pushing through OR/NOT would change
 semantics, and NULL literals never qualify (``col = NULL`` is UNKNOWN
@@ -134,3 +138,25 @@ def annotate_scan(
                 residual=full_residual,
             )
     return ScanAnnotation(rel=rel, probe=None, residual=predicate)
+
+
+def probe_row_ids(
+    table, rel: ops.Rel, predicate: Optional[ast.Expr]
+) -> tuple[Optional[list[int]], Optional[ast.Expr]]:
+    """Answer ``σ_predicate(rel)`` over ``table`` with an index probe.
+
+    Returns the probed row ids in ascending id order and the residual
+    predicate those rows must still satisfy, or ``(None, predicate)``
+    when no single-column hash index serves a pushable equality (the
+    caller scans every row and applies the whole predicate).
+    """
+    if predicate is None:
+        return None, None
+    annotation = annotate_scan(
+        rel, predicate, lambda name, cols: table.find_index(cols) is not None
+    )
+    if annotation.probe is None:
+        return None, predicate
+    index = table.find_index(annotation.probe_columns)
+    row_ids = sorted(index.lookup((annotation.probe.value,)))
+    return row_ids, annotation.residual

@@ -37,6 +37,8 @@ class Table:
         self.schema = schema
         self._rows: dict[int, tuple] = {}
         self._next_id = 0
+        #: False once a row is restored below the newest id (see _ordered)
+        self._in_id_order = True
         self._indexes: list[HashIndex] = []
         #: durability hook; see module docstring
         self.on_mutate: Optional[Callable[..., None]] = None
@@ -85,12 +87,19 @@ class Table:
 
     # -- row access ---------------------------------------------------------
 
+    def _ordered(self) -> dict[int, tuple]:
+        """The row map, re-sorted into id order first if needed."""
+        if not self._in_id_order:
+            self._rows = dict(sorted(self._rows.items()))
+            self._in_id_order = True
+        return self._rows
+
     def rows(self) -> Iterator[tuple]:
-        """Iterate over the current rows (bag semantics)."""
-        return iter(list(self._rows.values()))
+        """Iterate over the current rows (bag semantics), in id order."""
+        return iter(list(self._ordered().values()))
 
     def rows_with_ids(self) -> Iterator[tuple[int, tuple]]:
-        return iter(list(self._rows.items()))
+        return iter(list(self._ordered().items()))
 
     def get_row(self, row_id: int) -> tuple:
         try:
@@ -135,7 +144,8 @@ class Table:
 
         ``row_id`` pins the id during WAL replay / snapshot load, where
         ids recorded before the crash must keep addressing the same
-        rows.
+        rows, and when an undo restores a deleted row.  Iteration stays
+        in id order either way.
         """
         row = self._coerce(values)
         for index in self._indexes:
@@ -162,8 +172,10 @@ class Table:
             for index in applied:
                 index.delete(rid, row)
             raise
-        self._next_id = max(self._next_id, rid + 1)
         self._rows[rid] = row
+        if rid < self._next_id:
+            self._in_id_order = False
+        self._next_id = max(self._next_id, rid + 1)
         self._data_version += 1
         if self.on_mutate is not None:
             self.on_mutate("insert", rid, row)
@@ -209,15 +221,8 @@ class Table:
             self.on_mutate("update", row_id, new, old)
         return old
 
-    def delete_where(self, predicate: Callable[[tuple], bool]) -> int:
-        """Delete all rows satisfying ``predicate``; returns count deleted."""
-        doomed = [rid for rid, row in self.rows_with_ids() if predicate(row)]
-        for rid in doomed:
-            self.delete_row(rid)
-        return len(doomed)
-
     def truncate(self) -> None:
-        for rid in list(self._rows):
+        for rid in list(self._ordered()):
             self.delete_row(rid)
 
     # -- statistics (for the cost model) ------------------------------------

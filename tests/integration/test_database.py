@@ -183,13 +183,70 @@ class TestUpdateAuthorization:
         # open mode: no enforcement
         assert db.execute("insert into Registered values ('12','CS103')") == 1
 
-    def test_statement_rejected_midway_leaves_prior_rows(self, db):
-        """Checks are per-tuple: an UPDATE touching both an authorized
-        and an unauthorized row fails at the unauthorized one."""
+    def test_statement_rejected_midway_changes_nothing(self, db):
+        """A statement is allowed only if every tuple it touches is: an
+        UPDATE touching both an authorized and an unauthorized row is
+        rejected, and the authorized row keeps its old value."""
         self.setup_policies(db)
         conn = db.connect(user_id="11", mode="non-truman")
+        before = list(db.table("Students").rows_with_ids())
         with pytest.raises(UpdateRejectedError):
             conn.execute("update Students set name = 'X'")
+        assert list(db.table("Students").rows_with_ids()) == before
+
+
+class TestCheckOrder:
+    """Update authorization runs before constraint checks, so a
+    constraint message never describes a row the user may not change."""
+
+    @pytest.fixture
+    def university(self):
+        from repro.workloads.university import build_university
+
+        db = build_university()
+        db.execute(
+            "authorize delete on Students where Students.student_id = $user_id"
+        )
+        db.execute(
+            "authorize insert on Registered "
+            "where Registered.student_id = $user_id"
+        )
+        return db
+
+    def test_restrict_on_unauthorized_row_is_rejected(self, university):
+        conn = university.connect(user_id="10", mode="non-truman")
+        with pytest.raises(
+            UpdateRejectedError,
+            match=r"^delete from Students not authorized for user '10'$",
+        ):
+            conn.execute("delete from Students where student_id = '11'")
+
+    def test_restrict_on_authorized_row_names_the_reference(self, university):
+        conn = university.connect(user_id="10", mode="non-truman")
+        with pytest.raises(
+            IntegrityError,
+            match=r"^cannot delete from Students: row referenced by Registered$",
+        ):
+            conn.execute("delete from Students where student_id = '10'")
+
+    def test_foreign_key_on_unauthorized_insert_is_rejected(self, university):
+        conn = university.connect(user_id="10", mode="non-truman")
+        with pytest.raises(
+            UpdateRejectedError,
+            match=r"^insert into Registered not authorized for user '10'$",
+        ):
+            conn.execute("insert into Registered values ('11', 'NOPE')")
+
+    def test_foreign_key_on_authorized_insert_names_the_key(self, university):
+        conn = university.connect(user_id="10", mode="non-truman")
+        with pytest.raises(
+            IntegrityError,
+            match=(
+                r"^foreign key violation: Registered\(course_id\) = "
+                r"\('NOPE',\) has no match in Courses$"
+            ),
+        ):
+            conn.execute("insert into Registered values ('10', 'NOPE')")
 
 
 class TestGrantsAndSessions:

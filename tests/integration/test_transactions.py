@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import Database
-from repro.errors import ExecutionError, IntegrityError
+from repro.errors import ExecutionError, IntegrityError, UpdateRejectedError
 
 
 @pytest.fixture
@@ -128,3 +128,83 @@ def test_round_trip_parse_render():
     for sql in ("begin", "commit", "rollback"):
         stmt = parse_statement(sql)
         assert parse_statement(render(stmt)) == stmt
+
+
+class TestStatementAtomicity:
+    """A failed INSERT, UPDATE or DELETE leaves nothing behind: its
+    changes are undone before the error propagates, and a restored row
+    keeps its old row id."""
+
+    TABLES = ("Registered", "Courses")
+    #: the first row inserts, the second fails its foreign key
+    HALF_DONE = "insert into Registered values ('10', 'CS999'), ('10', 'NOPE')"
+
+    @staticmethod
+    def university(data_dir=None):
+        from repro.workloads.university import build_university
+
+        db = build_university()
+        db.execute(
+            "authorize delete on Registered "
+            "where Registered.student_id = $user_id"
+        )
+        db.execute("insert into Courses values ('CS999', 'Spare')")
+        # free the first course by row id, so deleting every course
+        # removes one row before a reference stops it
+        db.execute("delete from Registered where course_id = 'CS100'")
+        db.execute("delete from Grades where course_id = 'CS100'")
+        if data_dir is not None:
+            db.save(data_dir)
+        return db
+
+    @classmethod
+    def state(cls, db):
+        return {name: list(db.table(name).rows_with_ids()) for name in cls.TABLES}
+
+    def run_failures(self, db):
+        # user '10' holds the first CS104 registration by row id, so a
+        # row-at-a-time delete would remove it before being rejected
+        first = next(
+            row for _, row in db.table("Registered").rows_with_ids()
+            if row[1] == "CS104"
+        )
+        assert first[0] == "10"
+        conn = db.connect(user_id="10", mode="non-truman")
+        with pytest.raises(UpdateRejectedError):
+            conn.execute("delete from Registered where course_id = 'CS104'")
+        with pytest.raises(IntegrityError, match="foreign key violation"):
+            db.execute(self.HALF_DONE)
+        # '10' holds CS104 and CS103: the second row collides
+        with pytest.raises(IntegrityError, match="unique violation"):
+            db.execute("update Registered set course_id = 'CS101' "
+                       "where student_id = '10'")
+        with pytest.raises(IntegrityError, match="row referenced by"):
+            db.execute("delete from Courses")
+
+    def test_in_memory(self):
+        db = self.university()
+        before = self.state(db)
+        self.run_failures(db)
+        assert self.state(db) == before
+
+    def test_durable_reopened(self, tmp_path):
+        data_dir = str(tmp_path / "db")
+        db = self.university(data_dir)
+        before = self.state(db)
+        self.run_failures(db)
+        db.close(checkpoint=False)
+        reopened = Database.open(data_dir)
+        assert self.state(reopened) == before
+        reopened.close()
+
+    def test_inside_transaction_only_the_statement_is_undone(self):
+        db = self.university()
+        before = self.state(db)
+        db.execute("begin")
+        db.execute("insert into Registered values ('10', 'CS999')")
+        with pytest.raises(IntegrityError):
+            db.execute(self.HALF_DONE.replace("CS999", "CS102"))
+        assert len(db.table("Registered")) == len(before["Registered"]) + 1
+        db.execute("delete from Registered where course_id = 'CS104'")
+        db.execute("rollback")
+        assert self.state(db) == before

@@ -91,13 +91,6 @@ class TestTable:
         rid = t.insert((1, "a", 1.0))
         t.update_row(rid, (1, "b", 1.0))  # key unchanged: no violation
 
-    def test_delete_where(self):
-        t = make_table()
-        for i in range(5):
-            t.insert((i, "x", float(i)))
-        deleted = t.delete_where(lambda row: row[0] % 2 == 0)
-        assert deleted == 3 and len(t) == 2
-
     def test_truncate(self):
         t = make_table(unique_on=("id",))
         t.insert((1, "a", 1.0))
