@@ -48,10 +48,7 @@ class GrantRegistry:
         self._records: list[GrantRecord] = []
         self._lock = threading.RLock()
         self._version = 0
-        #: per-grantee mutation counters for *exact* prepared-template
-        #: invalidation: a grant to user A must not evict user B's
-        #: templates, so templates are stamped with (user, PUBLIC)
-        #: counters rather than the global version
+        #: per-grantee mutation counters (PreparedStatementCache.stamp)
         self._user_versions: dict[str, int] = {}
         #: durability hook (repro.durability): called as
         #: ``on_change("grant"|"revoke", info_dict)`` after every

@@ -52,40 +52,18 @@ class Catalog:
         #: keys); these need explicit persistence — FK-derived ones are
         #: rebuilt when the CREATE TABLE DDL replays
         self._manual_participations: list[TotalParticipation] = []
-        #: bumped on every view-registry change
-        self._views_version = 0
-        #: bumped on every DDL change (table or view) and on every
-        #: declared participation constraint (rule U3 consumes those);
-        #: cached validity decisions (repro.prepared.decide) are stamped
-        #: with it
+        #: bumped on every DDL change (table or view), every declared
+        #: participation constraint (rule U3 consumes those) and every
+        #: Truman remap; cached validity decisions and prepared templates
+        #: are stamped with it
         self._schema_version = 0
-        #: per-relation DDL counters for *exact* prepared-template
-        #: invalidation: a template depends only on the relations it
-        #: (transitively) references, so redefining relation X must not
-        #: evict templates over relation Y
-        self._relation_versions: dict[str, int] = {}
-
-    @property
-    def views_version(self) -> int:
-        return self._views_version
 
     @property
     def schema_version(self) -> int:
         return self._schema_version
 
-    def relation_version(self, name: str) -> int:
-        """DDL counter for one relation (0 if never created/dropped)."""
-        return self._relation_versions.get(name.lower(), 0)
-
-    def _bump_relation(self, name: str) -> None:
-        key = name.lower()
-        self._relation_versions[key] = self._relation_versions.get(key, 0) + 1
+    def bump_schema_version(self) -> None:
         self._schema_version += 1
-
-    def restore_views_version(self, version: int) -> None:
-        """Advance the views version (snapshot load restores the policy
-        epoch observed at checkpoint time)."""
-        self._views_version = max(self._views_version, version)
 
     # -- registration ---------------------------------------------------
 
@@ -94,7 +72,7 @@ class Catalog:
         if key in self._tables or key in self._views:
             raise DuplicateNameError(schema.name)
         self._tables[key] = schema
-        self._bump_relation(key)
+        self.bump_schema_version()
         for col in schema.columns:
             if col.not_null:
                 self._not_nulls.append(NotNull(schema.name, col.name))
@@ -146,15 +124,14 @@ class Catalog:
         if key in self._tables or key in self._views:
             raise DuplicateNameError(view.name)
         self._views[key] = view
-        self._views_version += 1
-        self._bump_relation(key)
+        self.bump_schema_version()
 
     def drop_table(self, name: str) -> None:
         key = name.lower()
         if key not in self._tables:
             raise UnknownTableError(name)
         del self._tables[key]
-        self._bump_relation(key)
+        self.bump_schema_version()
         self._primary_keys.pop(key, None)
         self._uniques = [u for u in self._uniques if u.table.lower() != key]
         self._not_nulls = [n for n in self._not_nulls if n.table.lower() != key]
@@ -180,8 +157,7 @@ class Catalog:
         if key not in self._views:
             raise UnknownTableError(name)
         del self._views[key]
-        self._views_version += 1
-        self._bump_relation(key)
+        self.bump_schema_version()
 
     # -- constraints ------------------------------------------------------
 
@@ -201,7 +177,7 @@ class Catalog:
     def add_participation(self, constraint: TotalParticipation) -> None:
         self._participations.append(constraint)
         self._manual_participations.append(constraint)
-        self._schema_version += 1
+        self.bump_schema_version()
 
     def manual_participations(self) -> list[TotalParticipation]:
         return list(self._manual_participations)

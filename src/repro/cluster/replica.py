@@ -13,16 +13,13 @@ what it is allowed to see.
 Apply is **idempotent by LSN**: a record at or below ``applied_lsn`` is
 skipped without touching storage, caches, or counters other than
 ``duplicates_skipped`` — re-shipping a batch after a partial failure
-cannot double-apply a row or double-invalidate a cache.
+cannot double-apply a row or move a cache stamp twice.
 
 Policy records additionally:
 
 * restore the grant-registry version to the primary's stamped ``gv``
   (so cache stamps taken on the replica are comparable to primary
   stamps),
-* eagerly drop the grantee's prepared templates (lookup-time stamp
-  validation would catch them anyway; eager eviction keeps the window
-  closed even for in-flight lookups),
 * advance the replica's observed **policy epoch**, which is what makes
   it eligible for routing again after a policy change.
 """
@@ -86,7 +83,6 @@ class ReadReplica:
                 self.duplicates_skipped += 1
                 return False
             db = self.database
-            kind = record.get("kind")
             apply_record(db, record)
             if "dv" in record:
                 # align the validity-cache data version with the
@@ -95,8 +91,6 @@ class ReadReplica:
                 db.validity_cache.restore_data_version(record["dv"])
             if "gv" in record:
                 db.grants.restore_version(record["gv"])
-            if kind in ("grant", "revoke"):
-                db.prepared.invalidate_user(record["grantee"])
             if "epoch" in record:
                 self.policy_epoch = max(self.policy_epoch, record["epoch"])
             self.applied_lsn = lsn

@@ -375,7 +375,6 @@ class Database:
                 self._tables.pop(statement.name.lower(), None)
             else:
                 self.catalog.drop_view(statement.name)
-            self.prepared.invalidate_relation(statement.name)
             self._log_ddl(statement)
             return None
         if isinstance(statement, ast.Grant):
@@ -416,7 +415,6 @@ class Database:
         for unique in self.catalog.uniques_for(schema.name):
             table.create_index(unique.columns, unique=True)
         self._tables[schema.name.lower()] = table
-        self.prepared.invalidate_relation(schema.name)
         if self.durability is not None:
             self._log_ddl(statement)
             self.durability.register_table(table)
@@ -429,14 +427,12 @@ class Database:
             column_names=statement.column_names,
         )
         self.catalog.create_view(view)
-        self.prepared.invalidate_relation(statement.name)
 
     def grant(self, view_name: str, to_user: str, grantor: Optional[str] = None) -> None:
         """GRANT SELECT on an authorization view (PUBLIC = everyone)."""
         if not self.catalog.has_view(view_name):
             raise GrantError(f"no view named {view_name!r}")
         self.grants.grant(view_name, to_user, grantor)
-        self.prepared.invalidate_user(to_user)
         self._durable_commit()
 
     def grant_public(self, view_name: str) -> None:
@@ -455,7 +451,8 @@ class Database:
         if not self.catalog.has_view(view_name):
             raise UnknownTableError(view_name)
         self.truman_policy[table_name.lower()] = view_name
-        self.prepared.invalidate_relation(table_name)
+        # a remap changes what every Truman template over the table reads
+        self.catalog.bump_schema_version()
         if self.durability is not None:
             self.durability.log_truman(table_name.lower(), view_name)
 

@@ -175,7 +175,6 @@ def capture_state(db: "Database", last_lsn: int) -> dict:
         "counters": {
             "data_version": db.validity_cache.data_version,
             "grants_version": db.grants.version,
-            "views_version": db.catalog.views_version,
         },
     }
     epoch = getattr(db, "policy_epoch", None)
@@ -231,7 +230,6 @@ def restore_state(db: "Database", state: dict) -> None:
         )
         manager.restore_tuples(rebac_state["tuples"])
     db.validity_cache.restore_data_version(state["counters"]["data_version"])
-    db.catalog.restore_views_version(state["counters"]["views_version"])
 
 
 # -- file I/O ----------------------------------------------------------------

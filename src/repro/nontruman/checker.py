@@ -51,6 +51,10 @@ from repro.nontruman.pruning import prune_views
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
 
+#: nesting bound on the plan-level recursion (set operations, derived
+#: tables, probe subchecks)
+MAX_DEPTH = 4
+
 
 class ValidityChecker:
     """Decides query validity for one database."""
@@ -62,7 +66,6 @@ class ValidityChecker:
         use_cache: bool = False,
         allow_conditional: bool = True,
         allow_u3: bool = True,
-        max_depth: int = 4,
         max_cover_nodes: int = 20000,
         enable_dependent_joins: bool = True,
         enable_overlap_covers: bool = True,
@@ -73,7 +76,6 @@ class ValidityChecker:
         self.use_cache = use_cache
         self.allow_conditional = allow_conditional
         self.allow_u3 = allow_u3
-        self.max_depth = max_depth
         self.max_cover_nodes = max_cover_nodes
         self.enable_dependent_joins = enable_dependent_joins
         self.enable_overlap_covers = enable_overlap_covers
@@ -255,7 +257,7 @@ class ValidityChecker:
     def _rewrite_plan(
         self, plan: ops.Operator, matcher: BlockMatcher, depth: int
     ) -> Optional[Rewriting]:
-        if depth > self.max_depth:
+        if depth > MAX_DEPTH:
             return None
 
         if isinstance(plan, ops.SetOperation):
@@ -323,7 +325,7 @@ class ValidityChecker:
     def _subcheck(
         self, plan: ops.Operator, matcher: BlockMatcher, depth_box
     ) -> Optional[Rewriting]:
-        if depth_box[0] >= self.max_depth:
+        if depth_box[0] >= MAX_DEPTH:
             return None
         depth_box[0] += 1
         try:

@@ -3,11 +3,11 @@
 ``repro.prepared`` caches the full compiled artifact of a query —
 literal-stripped skeleton AST, translated algebra plan, and vectorized
 kernels — keyed on ``(signature, user, mode, session params)`` and
-stamped with exact policy/DDL version counters; :func:`decide` serves
+stamped with one policy/DDL version stamp; :func:`decide` serves
 the Non-Truman decision from the database's decision cache.  A hot
 repeated query skips parse → check → plan entirely while remaining
 observationally identical to fresh execution.  See
-:mod:`repro.prepared.cache` for the invalidation invariants.
+:mod:`repro.prepared.cache` for the staleness rule.
 """
 
 from repro.prepared.cache import PreparedStatementCache

@@ -11,20 +11,18 @@ Two LRU tiers:
 * a **template tier** mapping ``(skeleton, user, mode, params_key)`` to
   a :class:`~repro.prepared.template.PreparedTemplate`.
 
-Invalidation is **exact**, not epoch-global.  Each template is stamped
-with the version counters of precisely the state it was compiled from:
+One stamp decides staleness, for templates and for the negative
+cache alike: :meth:`PreparedStatementCache.stamp` is the triple
 
 * ``grants.user_version(user)`` — the per-user (+PUBLIC) grant-change
-  counters.  A grant to user A never evicts user B's templates.
-* ``catalog.relation_version(name)`` for every relation the skeleton
-  transitively references (through view definitions and Truman view
-  substitutions).  DDL on relation X never evicts templates over Y.
+  counters.  A grant to user A never retires user B's templates.
+* ``catalog.schema_version`` — every table/view DDL, declared
+  participation constraint and Truman remap.
 * the VPD policy-set version (policy attachment is rare and global).
 
-A template is validated against the live counters on every lookup, so
-even without the proactive ``invalidate_*`` hooks a stale template can
-never be served; the hooks merely evict eagerly so the stats stay
-honest.  A template holds no validity decisions: those live in the
+A template is stamped when its build starts, a negative entry when its
+build fails; both are compared with the live stamp on every lookup, and
+a mismatch retires the entry there.  Nothing is evicted eagerly.  A template holds no validity decisions: those live in the
 database's decision cache (:mod:`repro.nontruman.cache`).
 """
 
@@ -65,36 +63,22 @@ class PreparedStatementCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: calls to invalidate_user / invalidate_relation (counted even
-        #: when nothing matched — replication idempotence tests assert a
-        #: re-applied policy record triggers no second call)
-        self.user_invalidations = 0
-        self.relation_invalidations = 0
         self.evictions = 0
         self.builds = 0
         self.text_hits = 0
         self.text_misses = 0
 
-    # -- version stamps ---------------------------------------------------
+    # -- the stamp --------------------------------------------------------
 
-    def _stamp(self, user) -> tuple:
+    def stamp(self, user) -> tuple:
+        """Everything a prepared entry for ``user`` is derived from
+        besides its key; an entry whose stamp differs is stale."""
         db = self._db
         return (
             db.grants.user_version(user),
             db.catalog.schema_version,
             db.vpd_policies.version,
         )
-
-    def _is_stale(self, template: PreparedTemplate) -> bool:
-        db = self._db
-        if db.grants.user_version(template.user) != template.grant_version:
-            return True
-        if db.vpd_policies.version != template.vpd_version:
-            return True
-        for name, version in template.relation_versions:
-            if db.catalog.relation_version(name) != version:
-                return True
-        return False
 
     # -- text tier --------------------------------------------------------
 
@@ -126,7 +110,7 @@ class PreparedStatementCache:
             if template is None:
                 self.misses += 1
                 return None
-            if self._is_stale(template):
+            if template.stamp != self.stamp(template.user):
                 del self._templates[key]
                 self.invalidations += 1
                 self.misses += 1
@@ -149,7 +133,7 @@ class PreparedStatementCache:
 
     def note_unpreparable(self, key: tuple, user) -> None:
         with self._lock:
-            self._negative[key] = self._stamp(user)
+            self._negative[key] = self.stamp(user)
             self._negative.move_to_end(key)
             while len(self._negative) > _MAX_NEGATIVE:
                 self._negative.popitem(last=False)
@@ -161,55 +145,10 @@ class PreparedStatementCache:
             stamp = self._negative.get(key)
             if stamp is None:
                 return
-            if stamp != self._stamp(user):
+            if stamp != self.stamp(user):
                 del self._negative[key]
                 return
         raise PreparedFallback("query is known to be unpreparable")
-
-    # -- eager invalidation ----------------------------------------------
-
-    def invalidate_user(self, user) -> None:
-        """Drop templates belonging to ``user`` (PUBLIC drops all —
-        a PUBLIC grant changes every user's available views)."""
-        from repro.authviews.registry import PUBLIC
-
-        key_user = None if user is None else str(user).lower()
-        with self._lock:
-            self.user_invalidations += 1
-            doomed = [
-                key
-                for key, template in self._templates.items()
-                if key_user == PUBLIC
-                or (template.user is None and key_user is None)
-                or (
-                    template.user is not None
-                    and str(template.user).lower() == key_user
-                )
-            ]
-            for key in doomed:
-                del self._templates[key]
-            self.invalidations += len(doomed)
-            self._negative.clear()
-
-    def invalidate_relation(self, name: str) -> None:
-        """Drop templates that (transitively) reference ``name``."""
-        with self._lock:
-            self.relation_invalidations += 1
-            doomed = [
-                key
-                for key, template in self._templates.items()
-                if template.references(name)
-            ]
-            for key in doomed:
-                del self._templates[key]
-            self.invalidations += len(doomed)
-            self._negative.clear()
-
-    def invalidate_all(self) -> None:
-        with self._lock:
-            self.invalidations += len(self._templates)
-            self._templates.clear()
-            self._negative.clear()
 
     # -- introspection ----------------------------------------------------
 
@@ -229,8 +168,6 @@ class PreparedStatementCache:
                 "prepared_hit_rate": (self.hits / total) if total else 0.0,
                 "prepared_builds": self.builds,
                 "prepared_invalidations": self.invalidations,
-                "prepared_user_invalidations": self.user_invalidations,
-                "prepared_relation_invalidations": self.relation_invalidations,
                 "prepared_evictions": self.evictions,
                 "prepared_text_hits": self.text_hits,
                 "prepared_text_misses": self.text_misses,

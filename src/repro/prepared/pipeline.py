@@ -95,48 +95,6 @@ def access_param_names(query: ast.QueryExpr) -> frozenset:
     )
 
 
-def collect_relations(db, query: ast.QueryExpr, mode: str) -> frozenset:
-    """Lower-cased names of every relation the query transitively
-    depends on: direct references, view-definition bodies (views are
-    expanded at plan time), and Truman view substitutions."""
-    names: set[str] = set()
-
-    def add_name(name: str) -> None:
-        key = name.lower()
-        if key in names:
-            return
-        names.add(key)
-        if db.catalog.has_view(key):
-            walk_query(db.catalog.view(key).query)
-        if mode == "truman":
-            substituted = db.truman_policy.get(key)
-            if substituted is not None:
-                add_name(substituted)
-
-    def walk_table(item: ast.TableExpr) -> None:
-        if isinstance(item, ast.TableRef):
-            add_name(item.name)
-        elif isinstance(item, ast.SubqueryRef):
-            walk_query(item.query)
-        elif isinstance(item, ast.JoinRef):
-            walk_table(item.left)
-            walk_table(item.right)
-
-    def walk_query(q: ast.QueryExpr) -> None:
-        if isinstance(q, ast.SetOp):
-            walk_query(q.left)
-            walk_query(q.right)
-            return
-        for item in q.from_items:
-            walk_table(item)
-        for node in _walk_query_exprs(q):
-            if isinstance(node, (ast.InSubquery, ast.ExistsSubquery)):
-                walk_query(node.query)
-
-    walk_query(query)
-    return frozenset(names)
-
-
 def _hashable(value) -> bool:
     try:
         hash(value)
@@ -251,12 +209,11 @@ def _build_template(
 ) -> PreparedTemplate:
     names = placeholder_names(len(literals))
 
-    # Version stamps are observed *before* any compilation: a policy or
-    # DDL change racing with the build leaves the template stale on
-    # arrival (a later lookup re-validates and evicts), never
-    # accidentally fresh.
-    grant_version = db.grants.user_version(session.user)
-    vpd_version = db.vpd_policies.version
+    # The stamp is read *before* any compilation: a policy, DDL or
+    # Truman-remap change racing with the build leaves the template
+    # stale on arrival (the next lookup evicts it), never accidentally
+    # fresh.
+    stamp = db.prepared.stamp(session.user)
 
     exec_query = skeleton
     if mode == "truman":
@@ -274,37 +231,6 @@ def _build_template(
             "access-pattern parameters survive templating: "
             + ", ".join(sorted(extra))
         )
-
-    relations = set(collect_relations(db, skeleton, mode))
-    if mode == "truman":
-        relations |= collect_relations(db, exec_query, mode)
-    if mode == "non-truman":
-        # Decisions depend on the user's *available* authorization views
-        # (and transitively on the relations those views mention), not
-        # just on the relations the query names: redefining a granted
-        # view can flip validity.  The granted *names* must come from
-        # the grant registry, not the catalog's current view list — a
-        # build racing a drop/create redefinition can observe the window
-        # where the view is absent, and a template stamped without it
-        # would never go stale when the view reappears.  The grant
-        # record (and the per-name relation_version counter) both
-        # survive that window.  Granting/revoking itself is already
-        # covered by grant_version.
-        granted = {
-            record.view
-            for record in db.grants.grants()
-            if db.grants.is_granted(record.view, session.user)
-        }
-        for name in granted:
-            relations.add(name)
-            if db.catalog.has_view(name):
-                view = db.catalog.view(name)
-                if view.authorization:
-                    relations |= collect_relations(db, view.query, mode)
-
-    relation_versions = tuple(
-        sorted((name, db.catalog.relation_version(name)) for name in relations)
-    )
 
     try:
         plan = db.plan_template(exec_query, session)
@@ -327,9 +253,7 @@ def _build_template(
         params_key=params_key,
         signature_text=signature_text,
         n_literals=len(literals),
-        grant_version=grant_version,
-        relation_versions=relation_versions,
-        vpd_version=vpd_version,
+        stamp=stamp,
         binder=binder,
     )
 

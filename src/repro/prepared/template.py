@@ -293,7 +293,8 @@ class PlanBinder:
 
 class PreparedTemplate:
     """One fully-compiled artifact for a (skeleton, user, mode, params)
-    cache slot, with the version stamps that govern its staleness."""
+    cache slot, with the stamp that governs its staleness
+    (:meth:`~repro.prepared.cache.PreparedStatementCache.stamp`)."""
 
     __slots__ = (
         "skeleton",
@@ -302,9 +303,7 @@ class PreparedTemplate:
         "params_key",
         "signature_text",
         "n_literals",
-        "grant_version",
-        "relation_versions",
-        "vpd_version",
+        "stamp",
         "binder",
         "compile_cache",
     )
@@ -317,9 +316,7 @@ class PreparedTemplate:
         params_key: tuple,
         signature_text: str,
         n_literals: int,
-        grant_version: tuple,
-        relation_versions: tuple,
-        vpd_version: int,
+        stamp: tuple,
         binder: PlanBinder,
     ):
         self.skeleton = skeleton
@@ -328,12 +325,6 @@ class PreparedTemplate:
         self.params_key = params_key
         self.signature_text = signature_text
         self.n_literals = n_literals
-        self.grant_version = grant_version
-        self.relation_versions = relation_versions
-        self.vpd_version = vpd_version
+        self.stamp = stamp
         self.binder = binder
         self.compile_cache = PlanCompileCache(binder.cacheable_ids)
-
-    def references(self, relation: str) -> bool:
-        key = relation.lower()
-        return any(name == key for name, _v in self.relation_versions)

@@ -15,8 +15,7 @@ A Zanzibar-style relationship model lowered onto the paper's machinery:
   writes flow through the WAL as policy-bearing records (bumping the
   cluster policy epoch *before* any state changes, so a revoked tuple
   is never served stale), closure deltas are applied in a deterministic
-  order shared by coordinator, replicas, and crash recovery, and
-  affected prepared templates are invalidated per user;
+  order shared by coordinator, replicas, and crash recovery;
 * :mod:`repro.rebac.trace` — the decision tracer behind the
   ``\\explain`` meta-command and the ``explain`` wire message: which
   authorization view / inference rule / tuple chain justified an

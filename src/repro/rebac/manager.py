@@ -26,8 +26,9 @@ Tuple writes are incremental recompilation:
    eligible for routing again — once it has applied every delta.  A
    revoked tuple is therefore never served stale, by construction
    rather than by shipping speed;
-5. invalidate the affected users' prepared-statement templates and
-   group-commit.
+5. group-commit.  Prepared templates need no hook: they hold plans,
+   not rows, and the decisions over ``RebacGrants`` are retired by its
+   data version.
 
 Replicas and recovery consume the same records in reverse: row records
 rebuild ``RebacGrants`` (exact rids), and the ``rebac_tuple`` record
@@ -177,7 +178,7 @@ class RebacManager:
             )
         }
         # closure-delta DML first (ordinary row records) ...
-        affected = self._apply_delta(self._rows, new_rows)
+        self._apply_delta(self._rows, new_rows)
         store_action()
         self._closure = new_closure
         self._rows = new_rows
@@ -189,16 +190,14 @@ class RebacManager:
             record.update(payload)
             record["dv"] = self.db.validity_cache.data_version
             self.db.durability.log_rebac(record)
-        for user in sorted(affected):
-            self.db.prepared.invalidate_user(user)
         self.db._durable_commit()
 
     def _apply_delta(
         self, old_rows: dict[RowKey, float], new_rows: dict[RowKey, float]
-    ) -> set[str]:
+    ) -> None:
         """Apply the closure diff as DML, in a deterministic order —
         sorted deletes, then updates, then inserts — shared by every
-        engine/node; returns the affected user ids."""
+        engine/node."""
         deletes = sorted(k for k in old_rows if k not in new_rows)
         updates = sorted(
             k for k in new_rows if k in old_rows and old_rows[k] != new_rows[k]
@@ -222,7 +221,6 @@ class RebacManager:
                 f"{new_rows[key]!r})",
                 sync=False,
             )
-        return {uid for (_, _, _, uid) in deletes + updates + inserts}
 
     @staticmethod
     def _where(key: RowKey) -> str:
@@ -240,10 +238,9 @@ class RebacManager:
         """Apply a shipped/recovered ``rebac_tuple`` record.
 
         Updates the tuple store and the in-memory closure (explain
-        provenance) and invalidates affected prepared templates.  The
-        ``RebacGrants`` rows themselves arrive through the ordinary row
-        records that precede this one in LSN order — no DML, no
-        re-logging here.
+        provenance).  The ``RebacGrants`` rows themselves arrive through
+        the ordinary row records that precede this one in LSN order — no
+        DML, no re-logging here.
         """
         with self._lock:
             t = RelationTuple.from_dict(record["tuple"])
@@ -261,21 +258,9 @@ class RebacManager:
                     self.namespace, new_closure
                 )
             }
-            affected = {
-                uid
-                for key in set(self._rows) ^ set(new_rows)
-                for uid in (key[3],)
-            }
-            affected.update(
-                key[3]
-                for key in set(self._rows) & set(new_rows)
-                if self._rows[key] != new_rows[key]
-            )
             self._closure = new_closure
             self._rows = new_rows
             self.recompiles += 1
-            for user in sorted(affected):
-                self.db.prepared.invalidate_user(user)
 
     # -- snapshot state ----------------------------------------------------
 

@@ -999,7 +999,7 @@ class EnforcementGateway:
         # policy / data version counters: what the enforcement caches
         # stamp their entries with, and what cluster epoch gating keys on
         merged["policy_grants_version"] = self.db.grants.version
-        merged["policy_views_version"] = self.db.catalog.views_version
+        merged["policy_schema_version"] = self.db.catalog.schema_version
         merged["policy_vpd_version"] = self.db.vpd_policies.version
         merged["data_version"] = self.db.validity_cache.data_version
         epoch = getattr(self.db, "policy_epoch", None)

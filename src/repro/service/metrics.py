@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Optional
 
 
 class Counter:
@@ -189,18 +188,3 @@ class MetricsRegistry:
             out[f"{name}_p95"] = histogram.percentile(95)
             out[f"{name}_p99"] = histogram.percentile(99)
         return out
-
-    def render(self, title: Optional[str] = None) -> str:
-        """Aligned text rendering (for the ``\\stats`` meta-command)."""
-        snap = self.snapshot()
-        lines = [title] if title else []
-        if not snap:
-            lines.append("  (no metrics recorded)")
-            return "\n".join(lines)
-        width = max(len(name) for name in snap)
-        for name, value in snap.items():
-            if isinstance(value, float):
-                lines.append(f"  {name:<{width}}  {value:.4f}")
-            else:
-                lines.append(f"  {name:<{width}}  {value}")
-        return "\n".join(lines)

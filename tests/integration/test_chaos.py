@@ -885,6 +885,89 @@ class TestPreparedChaosStorm:
         )
         assert set(result.rows) == self.ROWS_11
 
+    def test_truman_storm_remap_never_outlives_its_mapping(self, monkeypatch):
+        """A thread alternates Grades between MyGrades and an empty view
+        while Truman requests run through the gateway.  Mid-storm every
+        answer is one mapping's answer; once the churn stops, every
+        answer is the fresh answer under the final mapping — a template
+        built across a remap must not survive it."""
+        db = Database()
+        install_university(db)
+        db.execute(
+            "create authorization view NoGrades as "
+            "select * from Grades where 1 = 0"
+        )
+        db.grant_public("NoGrades")
+        db.set_truman_view("Grades", "MyGrades")
+        chaos = ChaosInjector(seed=self.SEED)
+        gateway = EnforcementGateway(
+            db, workers=4, queue_size=512, audit_capacity=8192,
+            retry_attempts=3, retry_backoff=0.001, chaos=chaos,
+            retry_seed=self.SEED,
+        )
+        chaos.inject("prepared.bind", "delay", probability=0.4,
+                     delay_s=0.002)
+        plan_template = db.plan_template
+
+        def slow_plan_template(*args, **kwargs):
+            # a slow build straddles the remaps, the last one included
+            time.sleep(0.002)
+            return plan_template(*args, **kwargs)
+
+        monkeypatch.setattr(db, "plan_template", slow_plan_template)
+        sql = "select count(*) from Grades"
+        legal = {(len(self.ROWS_11),), (0,)}
+
+        def ask(tag):
+            return gateway.execute(
+                QueryRequest(user="11", sql=sql, mode="truman", tag=tag)
+            )
+
+        churning = threading.Event()
+        churning.set()
+        storm = []
+
+        def churn():
+            # the last remap lands while clients are still building
+            for _ in range(200):
+                db.set_truman_view("Grades", "NoGrades")
+                time.sleep(0.0005)
+                db.set_truman_view("Grades", "MyGrades")
+                time.sleep(0.0005)
+            churning.clear()
+
+        def client(n):
+            i = 0
+            while churning.is_set() or i < 20:
+                storm.append(ask(f"storm-{n}-{i}"))
+                i += 1
+
+        threads = [threading.Thread(target=churn, daemon=True)] + [
+            threading.Thread(target=client, args=(n,), daemon=True)
+            for n in range(3)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            settled = [ask(f"settled-{i}") for i in range(20)]
+        finally:
+            churning.clear()
+            gateway.shutdown(drain=False)
+
+        assert gateway.metrics.counter("prepared_requests").value > 0
+        for response in storm:
+            assert response.status is RequestStatus.OK, response.error
+            assert len(response.rows) == 1 and response.rows[0] in legal
+        session = db.connect(user_id="11", mode="truman").session
+        fresh = db.execute_query(sql, session=session, mode="truman",
+                                 prepared=False).rows
+        for response in settled:
+            assert response.status is RequestStatus.OK, response.error
+            assert response.rows == fresh
+
 
 class TestNetworkChaos:
     """Connection-drop fire points in the network front end: the server

@@ -70,7 +70,6 @@ def fingerprint(db: Database) -> dict:
             for r in db.grants.grants()
         ),
         "grants_version": db.grants.version,
-        "views_version": db.catalog.views_version,
         "truman": dict(db.truman_policy),
         "authorize": [
             (p.action, p.table, p.columns)
@@ -219,13 +218,11 @@ class TestCounters:
         db.grant("AllStudents", "dean")
         dv = db.validity_cache.data_version
         gv = db.grants.version
-        vv = db.catalog.views_version
         db.close(checkpoint=False)
 
         recovered = Database.open(data_dir)
         assert recovered.validity_cache.data_version >= dv
         assert recovered.grants.version >= gv
-        assert recovered.catalog.views_version >= vv
         recovered.close()
 
     def test_wal_stats_shape(self, tmp_path):

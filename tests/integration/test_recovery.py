@@ -142,8 +142,7 @@ def fingerprint(db: Database) -> dict:
             (r.view, r.grantee, r.grantor, r.grant_option)
             for r in db.grants.grants()
         ),
-        # the policy epoch: (registry version, views version)
-        "policy_epoch": (db.grants.version, db.catalog.views_version),
+        "grants_version": db.grants.version,
         "data_version": db.validity_cache.data_version,
         "truman": dict(db.truman_policy),
     }

@@ -1,16 +1,19 @@
-"""Exact invalidation of the prepared-template cache.
+"""Stamp invalidation of the prepared-template cache.
 
 The invariants under test (see ``repro/prepared/cache.py``):
 
-* invalidation is *exact*: a grant to user A evicts A's templates only;
-  DDL on relation X evicts only templates that (transitively) reference
-  X;
-* revocation has no eager hook (``db.grants.revoke`` is a registry
-  call), so the lookup-time version validation is the load-bearing
-  mechanism — a revoked user's cached acceptance must never be served;
+* one stamp decides staleness: a template is retired at its next
+  lookup once ``PreparedStatementCache.stamp(user)`` moves, and nothing
+  is evicted eagerly;
+* a grant to user A retires A's templates only; any DDL retires every
+  template;
+* revocation goes straight to the grant registry, and the lookup-time
+  stamp check alone keeps a revoked user's cached acceptance from being
+  served;
 * redefining a granted authorization view (drop + create) flips the
-  view's relation version and therefore the decisions of every template
-  whose user holds that grant;
+  decisions of every template whose user holds that grant;
+* a Truman remap retires templates built under the old mapping, even
+  one whose build overlapped the remap;
 * templates are keyed by user: overlapping signatures for different
   users never share an artifact.
 """
@@ -19,6 +22,8 @@ import pytest
 
 from repro.db import Database
 from repro.errors import QueryRejectedError
+from repro.prepared.pipeline import get_or_build_template, resolve_signature
+from repro.workloads.university import build_university
 
 
 def grades_db():
@@ -47,38 +52,54 @@ OK_SQL = "select grade from Grades where student_id = '11'"
 OTHER_SQL = "select x from Other where x > 0"
 
 
-class TestExactInvalidation:
-    def test_ddl_evicts_only_referencing_templates(self):
+def lookup_delta(db, sql, user, mode="non-truman"):
+    """Run ``sql`` once and return how the template lookup went:
+    ``(hits, builds, invalidations)`` added by that one request."""
+    base = db.prepared.stats()
+    try:
+        run(db, sql, user, mode=mode)
+    except QueryRejectedError:
+        pass
+    after = db.prepared.stats()
+    return tuple(
+        after[k] - base[k]
+        for k in ("prepared_hits", "prepared_builds", "prepared_invalidations")
+    )
+
+
+HIT = (1, 0, 0)
+RETIRED = (0, 1, 1)
+
+
+class TestStampInvalidation:
+    def test_ddl_retires_templates_at_next_lookup(self):
         db = grades_db()
         db.grant("MyGrades", "11")
         db.grant("OtherView", "11")
         run(db, OK_SQL, "11")
         run(db, OTHER_SQL, "11")
-        run(db, OTHER_SQL, "11")  # hot
-        base = db.prepared.stats()
+        assert lookup_delta(db, OTHER_SQL, "11") == HIT
         db.execute("drop table Other")
-        # eager hook evicted every template touching Other — for user
-        # 11 that is *both* templates: granted auth views (and their
-        # bodies) are decision dependencies of every template
-        after = db.prepared.stats()
-        assert after["prepared_invalidations"] > base["prepared_invalidations"]
-        assert after["prepared_templates"] < base["prepared_templates"]
+        db.execute("create table Other(x int)")
+        # nothing is evicted eagerly; the next lookup retires and rebuilds
+        assert db.prepared.stats()["prepared_templates"] == 2
+        assert lookup_delta(db, OTHER_SQL, "11") == RETIRED
+        assert lookup_delta(db, OK_SQL, "11") == RETIRED
+        assert lookup_delta(db, OTHER_SQL, "11") == HIT
 
-    def test_ddl_on_unrelated_relation_preserves_templates(self):
+    def test_ddl_on_unrelated_relation_retires_at_next_lookup(self):
         db = grades_db()
-        # open-mode templates depend only on the relations they scan
         run(db, OK_SQL, None, mode="open")
         run(db, OTHER_SQL, None, mode="open")
         assert db.prepared.stats()["prepared_templates"] == 2
         db.execute("create table Unrelated(y int)")
         db.execute("drop table Unrelated")
-        base = db.prepared.stats()
-        run(db, OK_SQL, None, mode="open")
-        after = db.prepared.stats()
-        assert after["prepared_hits"] == base["prepared_hits"] + 1
-        assert after["prepared_builds"] == base["prepared_builds"]
+        # any DDL moves the schema version every template is stamped with
+        assert db.prepared.stats()["prepared_templates"] == 2
+        assert lookup_delta(db, OK_SQL, None, mode="open") == RETIRED
+        assert lookup_delta(db, OK_SQL, None, mode="open") == HIT
 
-    def test_grant_evicts_only_that_user(self):
+    def test_grant_retires_only_that_users_templates(self):
         db = grades_db()
         db.grant("MyGrades", "11")
         db.grant("MyGrades", "12")
@@ -87,15 +108,12 @@ class TestExactInvalidation:
             run(db, OK_SQL, "12")  # 12 may not see 11's grades
         assert db.prepared.stats()["prepared_templates"] == 2
         db.grant("OtherView", "12")  # policy change for 12 only
-        run(db, OK_SQL, "11")  # 11's template survives: pure hit
-        stats = db.prepared.stats()
-        assert stats["prepared_templates"] == 1  # 12's was evicted
-        base_builds = stats["prepared_builds"]
+        assert lookup_delta(db, OK_SQL, "11") == HIT  # 11's survives
+        assert lookup_delta(db, OK_SQL, "12") == RETIRED
         with pytest.raises(QueryRejectedError):
             run(db, OK_SQL, "12")  # rebuilt, still rejected
-        assert db.prepared.stats()["prepared_builds"] == base_builds + 1
 
-    def test_public_grant_evicts_everyone(self):
+    def test_public_grant_retires_everyones_templates(self):
         db = grades_db()
         db.grant("MyGrades", "11")
         db.grant("MyGrades", "12")
@@ -103,15 +121,16 @@ class TestExactInvalidation:
         with pytest.raises(QueryRejectedError):
             run(db, OK_SQL, "12")
         db.grant_public("OtherView")  # PUBLIC changes every user's views
-        assert db.prepared.stats()["prepared_templates"] == 0
+        assert lookup_delta(db, OK_SQL, "11") == RETIRED
+        assert lookup_delta(db, OK_SQL, "12") == RETIRED
 
     def test_revoke_detected_at_lookup_without_eager_hook(self):
         db = grades_db()
         db.grant("MyGrades", "11")
         assert run(db, OK_SQL, "11").rows == [(3.5,)]
         assert run(db, OK_SQL, "11").rows == [(3.5,)]  # cached accept
-        # revoke goes straight to the registry — no Database facade, no
-        # eager invalidation; only the version stamps protect us
+        # revoke goes straight to the registry — no Database facade;
+        # only the stamp check at lookup protects us
         db.grants.revoke("MyGrades", "11")
         with pytest.raises(QueryRejectedError):
             run(db, OK_SQL, "11")
@@ -141,6 +160,41 @@ class TestExactInvalidation:
             "select * from Grades where student_id = $user_id"
         )
         assert run(db, OK_SQL, "11").rows == [(3.5,)]
+
+
+class TestTrumanRemap:
+    def test_template_built_across_a_remap_is_not_served_after_it(
+        self, monkeypatch
+    ):
+        """A build that overlaps ``set_truman_view`` stores a template
+        compiled under the old mapping.  Its stamp predates the remap,
+        so the next lookup retires it instead of answering from the
+        view the table no longer maps to."""
+        db = build_university()
+        db.execute(
+            "create authorization view NoGrades as "
+            "select * from Grades where 1 = 0"
+        )
+        db.grant_public("NoGrades")
+        db.set_truman_view("Grades", "MyGrades")
+        sql = "select count(*) from Grades"
+        session = db.connect(user_id="11", mode="truman").session
+        skeleton, literals, text = resolve_signature(db, sql)
+
+        store = db.prepared.store
+
+        def store_after_remap(key, template):
+            db.set_truman_view("Grades", "NoGrades")
+            store(key, template)
+
+        monkeypatch.setattr(db.prepared, "store", store_after_remap)
+        get_or_build_template(db, skeleton, literals, session, "truman", text)
+        monkeypatch.undo()
+
+        prepared = db.execute_query(sql, session=session, mode="truman", prepared=True)
+        fresh = db.execute_query(sql, session=session, mode="truman", prepared=False)
+        assert fresh.rows == [(0,)]
+        assert prepared.rows == [(0,)]
 
 
 class TestUserIsolation:
