@@ -30,9 +30,11 @@ from repro.authviews.session import SessionContext
 from repro.bench import Experiment, time_callable
 from repro.cluster import ClusterCoordinator
 from repro.errors import QueryRejectedError
+from repro.prepared import context_key, decide
 from repro.rebac.compiler import compute_closure
 from repro.rebac.trace import explain_query
 from repro.service import EnforcementGateway, QueryRequest
+from repro.sql import parse_statement
 from repro.workloads.collab import (
     CollabConfig,
     build_collab,
@@ -107,27 +109,31 @@ def test_deep_chain_check_latency(collab_db):
         "document:d0", "viewer", f"user:{direct_user}"
     )
     sql = "select title from Documents where doc_id = 'd0'"
+    query = parse_statement(sql)
 
-    def check(user):
+    def explain(user):
         return explain_query(
             collab_db, sql, SessionContext(user_id=user, time=TIME)
         )
 
-    collab_db.checker_options["use_cache"] = True
+    def check(user):
+        session = SessionContext(user_id=user, time=TIME)
+        return decide(collab_db, session, query, context=context_key(session))
+
     try:
-        deep = check(deep_user)
-        direct = check(direct_user)
+        deep = explain(deep_user)
+        direct = explain(direct_user)
         assert deep.valid and direct.valid
         assert len(deep.chains[0].chain) == 10
         assert len(direct.chains[0].chain) == 1
         assert deep.views_used == direct.views_used
         assert deep.probes_executed == direct.probes_executed
-        assert check(deep_user).from_cache
+        check(deep_user), check(direct_user)  # populate
+        assert check(deep_user).from_cache and check(direct_user).from_cache
 
         deep_s, _ = time_callable(lambda: check(deep_user), repeat=5)
         direct_s, _ = time_callable(lambda: check(direct_user), repeat=5)
     finally:
-        collab_db.checker_options.pop("use_cache", None)
         collab_db.rebac.delete_tuple(
             "document:d0", "viewer", f"user:{direct_user}"
         )

@@ -8,13 +8,16 @@ time the query is executed".
 
 We measure cold vs cached check latency, and the amortized per-query
 cost of a prepared-statement-style workload (same skeleton, per-user
-constants) with the cache on and off.
+constants) with the cache on and off.  The cold path is the bare
+checker; the cached path is :func:`repro.prepared.decide`, the one
+entrance to the database's decision cache.
 """
 
 import pytest
 
 from repro.sql import parse_query
 from repro.nontruman.checker import ValidityChecker
+from repro.prepared import context_key, decide
 from repro.workloads.university import UniversityConfig, build_university, student_ids
 from repro.bench import Experiment, time_callable
 
@@ -34,20 +37,23 @@ def db():
     return build_university(UniversityConfig(students=100, courses=10, seed=4))
 
 
+def cached_check(db, query, session):
+    return decide(db, session, query, context=context_key(session))
+
+
 def test_cold_vs_cached(benchmark, db):
     session = db.connect(user_id="11").session
     query = parse_query("select grade from Grades where student_id = '11'")
 
-    cold_checker = ValidityChecker(db, use_cache=False)
+    cold_checker = ValidityChecker(db)
     cold_s, _ = time_callable(lambda: cold_checker.check(query, session), repeat=5)
 
-    warm_checker = ValidityChecker(db, use_cache=True)
-    warm_checker.check(query, session)  # populate
-    warm_s, _ = time_callable(lambda: warm_checker.check(query, session), repeat=5)
+    cached_check(db, query, session)  # populate
+    warm_s, _ = time_callable(lambda: cached_check(db, query, session), repeat=5)
 
-    benchmark(lambda: warm_checker.check(query, session))
+    benchmark(lambda: cached_check(db, query, session))
 
-    assert warm_checker.check(query, session).from_cache
+    assert cached_check(db, query, session).from_cache
     EXPERIMENT.add(
         "repeat same query",
         cold_us=cold_s * 1e6,
@@ -65,7 +71,12 @@ def test_prepared_statement_workload(benchmark, db):
     def run_workload(use_cache: bool) -> float:
         db.validity_cache.clear()
         db.validity_cache.hits = db.validity_cache.misses = 0
-        checker = ValidityChecker(db, use_cache=use_cache)
+        checker = ValidityChecker(db)
+
+        def check(query, session):
+            if use_cache:
+                return cached_check(db, query, session)
+            return checker.check(query, session)
 
         def body():
             for user in users:
@@ -73,7 +84,7 @@ def test_prepared_statement_workload(benchmark, db):
                 query = parse_query(
                     f"select grade from Grades where student_id = '{user}'"
                 )
-                decision = checker.check(query, session)
+                decision = check(query, session)
                 assert decision.valid
         seconds, _ = time_callable(body, repeat=3)
         return seconds
@@ -97,14 +108,13 @@ def test_prepared_statement_workload(benchmark, db):
 def test_conditional_decisions_respect_data_changes(benchmark, db):
     """Caching must not serve stale conditional decisions (E5 safety)."""
     session = db.connect(user_id="11").session
-    checker = ValidityChecker(db, use_cache=True)
     my_course = db.execute(
         "select course_id from Registered where student_id = '11' "
         "order by course_id limit 1"
     ).scalar()
     query = parse_query(f"select * from Grades where course_id = '{my_course}'")
 
-    first = checker.check(query, session)
+    first = cached_check(db, query, session)
     assert first.conditional
 
     def checked_roundtrip():
@@ -112,9 +122,9 @@ def test_conditional_decisions_respect_data_changes(benchmark, db):
             f"delete from Registered where student_id = '11' "
             f"and course_id = '{my_course}'"
         )
-        after_delete = checker.check(query, session)
+        after_delete = cached_check(db, query, session)
         db.execute(f"insert into Registered values ('11', '{my_course}')")
-        after_restore = checker.check(query, session)
+        after_restore = cached_check(db, query, session)
         return after_delete, after_restore
 
     after_delete, after_restore = benchmark(checked_roundtrip)

@@ -15,10 +15,11 @@ delegation chains rooted at it.
 
 The registry is safe for concurrent readers and writers: mutations and
 reads take one re-entrant lock.  Every successful mutation bumps a
-monotonic ``version`` counter, which the enforcement gateway's shared
-validity cache uses to drop decisions that predate a policy change
-(a query invalid before a ``\\grant`` may be valid after it, and vice
-versa after a revoke).
+monotonic ``version`` counter (snapshotted and logged for durability)
+and the per-grantee counters of :meth:`user_version`, which the
+prepared and decision caches stamp their entries with (a query invalid
+before a ``\\grant`` may be valid after it, and vice versa after a
+revoke).
 """
 
 from __future__ import annotations
@@ -92,9 +93,8 @@ class GrantRegistry:
             self._version = version
 
     def restore_version(self, version: int) -> None:
-        """Advance the version counter (WAL replay restores the policy
-        epoch so cached decisions from before the crash can never be
-        mistaken for current ones)."""
+        """Advance the version counter to the one the snapshot or WAL
+        recorded (replay continues its numbering)."""
         with self._lock:
             self._version = max(self._version, version)
 

@@ -13,7 +13,7 @@ Stages
 ======
 
 ``sql.parse``        a statement was parsed from text
-``validity.check``   the Non-Truman checker ran (cached or fresh entry)
+``validity.check``   the Non-Truman checker ran an inference
 ``validity.probe``   a C3 probe was executed (per-check memo misses only)
 ``plan.build``       a query was translated to algebra
 ``plan.push``        the selection-pushdown optimizer ran over a plan

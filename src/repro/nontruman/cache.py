@@ -17,12 +17,14 @@ Each :class:`~repro.db.Database` owns exactly one :class:`ValidityCache`
 **Key**: ``(user, context, skeleton)`` — the instantiated authorization
 views depend on every session parameter (§3.1), so the parameters other
 than ``$user_id`` (``$time``, ``$location``, extras) are part of the
-key.  **Stamp**: ``(data_version, policy_epoch)`` observed before the
-check ran.  The epoch covers everything a decision is derived from
-besides the data — grants, view and table definitions, declared
-integrity constraints — and must match exactly; the data version must
-match unless the decision is UNCONDITIONAL (conditional acceptances
-*and* rejections depend on the database state).
+key.  **Stamp**: ``(data_version, db.prepared.stamp(user))`` observed
+before the check ran — the same per-user stamp that retires prepared
+templates (the user's and PUBLIC's grant counters, the schema version,
+the VPD version).  Its second part must match exactly; the data version
+must match unless the decision is UNCONDITIONAL (conditional acceptances
+*and* rejections depend on the database state).  A mismatch is a miss
+at that lookup; nothing is cleared eagerly, so a policy change for one
+user never retires another user's decisions.
 
 Every structural operation happens under one re-entrant lock, so the
 enforcement gateway's workers share the instance.  The entry map is an
@@ -77,7 +79,7 @@ class _Entry:
     literals: tuple
     #: indices (into the literal tuple) that must match the session user
     user_positions: frozenset[int]
-    #: ``(data_version, policy_epoch)`` observed before the check ran
+    #: ``(data_version, prepared stamp)`` observed before the check ran
     stamp: tuple
 
 
@@ -111,14 +113,10 @@ class ValidityCache:
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._lock = threading.RLock()
         self._data_version = 0
-        #: policy epoch of the last lookup; None before the first one
-        self._epoch: Optional[tuple] = None
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: times a moved policy epoch emptied the cache
-        self.policy_invalidations = 0
 
     @property
     def data_version(self) -> int:
@@ -148,22 +146,13 @@ class ValidityCache:
     ) -> Optional[tuple[Validity, str]]:
         """The decision stored under ``key`` if it carries over to
         ``literals`` and is still valid at ``stamp`` — the database's
-        current ``(data_version, policy_epoch)``."""
+        current ``(data_version, db.prepared.stamp(user))``."""
         with self._lock:
-            if stamp[1] != self._epoch:
-                # GRANT / REVOKE / DDL / a declared constraint changes
-                # what is answerable at all: nothing stored survives
-                if self._epoch is not None:
-                    self._entries.clear()
-                    self.policy_invalidations += 1
-                self._epoch = stamp[1]
             entry = self._entries.get(key)
             # Conditional validity depends on the database state, and so do
             # rejections (a query invalid today may become conditionally
             # valid after an insert — Example 4.2's enrollment threshold).
-            # Only UNCONDITIONAL acceptances are state-independent.  The
-            # epoch is compared per entry too: a store racing a policy
-            # change lands after the clear above with its old stamp.
+            # Only UNCONDITIONAL acceptances are state-independent.
             if (
                 entry is None
                 or entry.stamp[1] != stamp[1]
@@ -218,5 +207,4 @@ class ValidityCache:
                 "cache_misses": self.misses,
                 "cache_hit_rate": round(self.hits / total, 4) if total else 0.0,
                 "cache_evictions": self.evictions,
-                "cache_policy_invalidations": self.policy_invalidations,
             }

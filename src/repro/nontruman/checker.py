@@ -20,9 +20,10 @@ Architecture:
    scans plus a rule-by-rule derivation trace.
 
 Options mirror the paper's Section 5.6 optimizations: ``use_pruning``
-(irrelevant-view elimination), ``use_cache`` (decision caching /
-prepared statements), ``allow_conditional`` and ``allow_u3`` (rule-tier
-ablations for experiment E7).
+(irrelevant-view elimination), ``allow_conditional`` and ``allow_u3``
+(rule-tier ablations for experiment E7).  The checker always infers;
+decision caching is :func:`repro.prepared.decide`'s, over the
+database's one :class:`~repro.nontruman.cache.ValidityCache`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class ValidityChecker:
         self,
         db: "Database",
         use_pruning: bool = True,
-        use_cache: bool = False,
         allow_conditional: bool = True,
         allow_u3: bool = True,
         max_cover_nodes: int = 20000,
@@ -73,7 +73,6 @@ class ValidityChecker:
     ):
         self.db = db
         self.use_pruning = use_pruning
-        self.use_cache = use_cache
         self.allow_conditional = allow_conditional
         self.allow_u3 = allow_u3
         self.max_cover_nodes = max_cover_nodes
@@ -98,22 +97,6 @@ class ValidityChecker:
         deadline/cancel aborts *mid-inference* and nothing is cached.
         """
         COUNTERS.bump("validity.check")
-        if self.use_cache:
-            from repro.prepared.pipeline import context_key, decide
-
-            return decide(
-                self.db,
-                session,
-                query,
-                context=context_key(session),
-                ctx=ctx,
-                check=self._check_fresh,
-            )
-        return self._check_fresh(query, session, ctx)
-
-    def _check_fresh(
-        self, query: ast.QueryExpr, session: SessionContext, ctx=None
-    ) -> ValidityDecision:
         try:
             plan = self._bind(query, session)
         except (CatalogError, BindError, ParameterError, UnsupportedFeatureError) as exc:

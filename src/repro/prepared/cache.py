@@ -11,19 +11,22 @@ Two LRU tiers:
 * a **template tier** mapping ``(skeleton, user, mode, params_key)`` to
   a :class:`~repro.prepared.template.PreparedTemplate`.
 
-One stamp decides staleness, for templates and for the negative
-cache alike: :meth:`PreparedStatementCache.stamp` is the triple
+One stamp decides staleness, for templates, the negative cache and
+the database's Non-Truman decisions (:func:`repro.prepared.decide`
+pairs it with the data version): :meth:`PreparedStatementCache.stamp`
+is the triple
 
 * ``grants.user_version(user)`` — the per-user (+PUBLIC) grant-change
-  counters.  A grant to user A never retires user B's templates.
+  counters.  A grant to user A never retires user B's entries.
 * ``catalog.schema_version`` — every table/view DDL, declared
   participation constraint and Truman remap.
 * the VPD policy-set version (policy attachment is rare and global).
 
 A template is stamped when its build starts, a negative entry when its
 build fails; both are compared with the live stamp on every lookup, and
-a mismatch retires the entry there.  Nothing is evicted eagerly.  A template holds no validity decisions: those live in the
-database's decision cache (:mod:`repro.nontruman.cache`).
+a mismatch retires the entry there.  Nothing is evicted eagerly.  A
+template holds no validity decisions: those live in the database's
+decision cache (:mod:`repro.nontruman.cache`).
 """
 
 from __future__ import annotations
@@ -71,8 +74,9 @@ class PreparedStatementCache:
     # -- the stamp --------------------------------------------------------
 
     def stamp(self, user) -> tuple:
-        """Everything a prepared entry for ``user`` is derived from
-        besides its key; an entry whose stamp differs is stale."""
+        """Everything a prepared entry or a decision for ``user`` is
+        derived from besides its key and the data; an entry whose stamp
+        differs is stale."""
         db = self._db
         return (
             db.grants.user_version(user),

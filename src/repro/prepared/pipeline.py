@@ -264,7 +264,7 @@ def _build_template(
 
 
 def decide(
-    db, session, query=None, resolved=None, context=None, ctx=None, check=None
+    db, session, query=None, resolved=None, context=None, ctx=None
 ) -> ValidityDecision:
     """The one place a Non-Truman decision is taken and remembered:
     ``db.validity_cache`` lookup -> ``db.check_validity`` -> store.
@@ -274,9 +274,8 @@ def decide(
     reads, unprepared in-process calls, unhashable session parameters.
     ``resolved`` is the ``(skeleton, literals, ...)`` signature when the
     caller already holds it; otherwise ``query`` is signed here, once.
-    ``check`` replaces ``db.check_validity`` for a caller that is itself
-    the checker.  An aborted check (deadline, cancel) raises through and
-    stores nothing.
+    An aborted check (deadline, cancel) raises through and stores
+    nothing.
     """
     if resolved is not None:
         skeleton, literals = resolved[0], resolved[1]
@@ -287,19 +286,17 @@ def decide(
         key = (session.user, context, skeleton)
         # Everything the decision is derived from besides its key, read
         # once and *before* the check: a write or policy change racing
-        # the inference leaves the stored entry stale.  schema_version
-        # moves with every table, view and declared-constraint change.
-        stamp = (
-            cache.data_version,
-            (db.grants.version, db.catalog.schema_version),
-        )
+        # the inference leaves the stored entry stale.  The policy part
+        # is the templates' stamp, so a grant to another user leaves
+        # this user's decisions alone.
+        stamp = (cache.data_version, db.prepared.stamp(session.user))
         cached = cache.lookup(key, literals, session.user_id, stamp)
         if cached is not None:
             validity, reason = cached
             return ValidityDecision(validity=validity, reason=reason, from_cache=True)
     if query is None:
         query = bind_skeleton(skeleton, literals)
-    decision = (check or db.check_validity)(query, session, ctx=ctx)
+    decision = db.check_validity(query, session, ctx=ctx)
     if context is not None:
         cache.store(
             key,

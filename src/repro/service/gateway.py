@@ -47,9 +47,10 @@ overloaded, or felled by an internal fault — is audited exactly once.
 Consistency: queries (and the probes the validity checker runs) share
 a readers-writer lock; DML takes it exclusively.  The database's
 decision cache stamps every stored decision with the data version and
-policy epoch observed *while holding the read lock*, so a decision can
-never be derived from one database state and served against another.
-An aborted check (timeout/cancel) stores nothing.
+the user's prepared stamp (``db.prepared.stamp``) observed *while
+holding the read lock*, so a decision can never be derived from one
+database state and served against another.  An aborted check
+(timeout/cancel) stores nothing.
 """
 
 from __future__ import annotations
@@ -996,8 +997,9 @@ class EnforcementGateway:
         merged.update(self.db.prepared.stats())
         merged.update(self.pool.stats())
         merged.update(self._breaker.stats())
-        # policy / data version counters: what the enforcement caches
-        # stamp their entries with, and what cluster epoch gating keys on
+        # global policy / data version counters.  The caches stamp
+        # entries per user (db.prepared.stamp) from the same sources;
+        # these show whether anything moved at all.
         merged["policy_grants_version"] = self.db.grants.version
         merged["policy_schema_version"] = self.db.catalog.schema_version
         merged["policy_vpd_version"] = self.db.vpd_policies.version

@@ -3,12 +3,15 @@
 
 Three pinned regressions — each a decision served after something it was
 derived from had changed (a session parameter, a grant or view, a
-declared integrity constraint) — and one seeded coherence storm that
-interleaves every kind of change with every entry point and holds each
-served decision against a fresh, uncached check.
+declared integrity constraint) — the per-user stamp that retires
+decisions, and one seeded coherence storm that interleaves every kind of
+change with every entry point and holds each served decision against a
+fresh, uncached check.
 """
 
 import random
+import threading
+from time import sleep
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.errors import QueryRejectedError
 from repro.net import NetworkService, ReproClient
 from repro.nontruman.checker import ValidityChecker
 from repro.nontruman.decision import Validity
+from repro.prepared import context_key, decide
 from repro.service import EnforcementGateway, QueryRequest
 from repro.sql import parse_query
 from repro.workloads.university import (
@@ -34,8 +38,13 @@ SMALL = UniversityConfig(students=6, courses=3, registrations_per_student=2)
 
 
 def fresh(db, sql, session):
-    decision = ValidityChecker(db, use_cache=False).check(parse_query(sql), session)
+    decision = ValidityChecker(db).check(parse_query(sql), session)
     return decision.validity, decision.reason
+
+
+def cached_decide(db, sql, session):
+    """The cached decision, the way every serving path takes it."""
+    return decide(db, session, parse_query(sql), context=context_key(session))
 
 
 # -- (a) a decision is keyed on every session parameter -----------------------
@@ -104,7 +113,7 @@ def test_no_disclosure_across_time_over_the_wire():
         gateway.shutdown(drain=False)
 
 
-# -- (b) the use_cache checker sees REVOKE and view DDL ------------------------
+# -- (b) a cached decision does not survive REVOKE or view DDL ----------------
 
 OWN_GRADES = "select * from Grades where student_id = '11'"
 MYGRADES = (
@@ -114,8 +123,7 @@ MYGRADES = (
 
 
 def cached_check(db, sql):
-    session = SessionContext(user_id="11")
-    return ValidityChecker(db, use_cache=True).check(parse_query(sql), session)
+    return cached_decide(db, sql, SessionContext(user_id="11"))
 
 
 def test_session_cache_does_not_survive_revoke():
@@ -156,12 +164,15 @@ def test_declared_constraints_retire_cached_rejections():
 
         assert ask().status.value == "rejected"
         assert ask().cache_hit
-        invalidations = gateway.stats()["cache_policy_invalidations"]
+        misses = gateway.stats()["cache_misses"]
         declare_university_constraints(db)  # one batch of three
         accepted = ask()
         assert accepted.ok and not accepted.cache_hit
+        assert gateway.stats()["cache_misses"] == misses + 1
         assert accepted.decision.validity is Validity.UNCONDITIONAL
-        assert gateway.stats()["cache_policy_invalidations"] == invalidations + 1
+        assert (accepted.decision.validity, accepted.decision.reason) == fresh(
+            db, ALL_STUDENTS, SessionContext(user_id="11")
+        )
         assert ask().cache_hit
 
 
@@ -192,6 +203,93 @@ def test_constraint_declaration_reaches_a_replica_and_a_replayed_log(tmp_path):
     assert replayed.catalog.schema_version == durable.catalog.schema_version
     assert cached_check(replayed, ALL_STUDENTS).validity is Validity.UNCONDITIONAL
     replayed.close()
+
+
+# -- (d) one per-user stamp retires decisions ----------------------------------
+
+ALL_GRADES_VIEW = "create authorization view AllGrades as select * from Grades"
+GRADES = "select * from Grades"
+
+
+def assert_retired(db, sql, session):
+    """The next lookup misses and serves what a fresh check decides."""
+    misses = db.validity_cache.misses
+    decision = cached_decide(db, sql, session)
+    assert not decision.from_cache
+    assert db.validity_cache.misses == misses + 1
+    assert (decision.validity, decision.reason) == fresh(db, sql, session)
+    return decision
+
+
+def test_a_grant_to_one_user_leaves_another_users_decisions_hot():
+    """Another user's policy change must not show in this user's
+    latency: the grant to user 12 moves only user 12's stamp."""
+    db = build_university(SMALL)
+    db.execute(ALL_GRADES_VIEW)
+    with EnforcementGateway(db, workers=1) as gateway:
+
+        def ask(user, sql):
+            return gateway.execute(QueryRequest(user=user, sql=sql))
+
+        assert ask("11", OWN_GRADES).ok
+        assert ask("11", OWN_GRADES).cache_hit
+        assert ask("12", GRADES).status.value == "rejected"
+        grants = db.grants.version
+        db.grants.grant("AllGrades", "12")
+        assert db.grants.version == grants + 1
+        warm = ask("11", OWN_GRADES)
+        assert warm.ok and warm.cache_hit
+        granted = ask("12", GRADES)
+        assert granted.ok and not granted.cache_hit
+        assert ask("11", GRADES).status.value == "rejected"
+
+
+def test_a_public_grant_and_a_vpd_policy_retire_every_users_decisions():
+    db = build_university(SMALL)
+    db.execute(ALL_GRADES_VIEW)
+    sessions = [SessionContext(user_id=user) for user in ("11", "12")]
+    for change in (
+        lambda: db.grant_public("AllGrades"),
+        lambda: db.vpd_policies.add_policy("Grades", "1 = 1"),
+    ):
+        for session in sessions:
+            for sql in (OWN_GRADES, GRADES):
+                cached_decide(db, sql, session)
+                assert cached_decide(db, sql, session).from_cache
+        change()
+        for session in sessions:
+            for sql in (OWN_GRADES, GRADES):
+                assert_retired(db, sql, session)
+    assert cached_decide(db, GRADES, sessions[0]).valid
+
+
+def test_a_revoke_racing_a_check_never_serves_the_stale_entry(monkeypatch):
+    """The check decides under the old grants, a revoke lands while it
+    still runs, and the entry is stored under the stamp read before the
+    check: it is stale on arrival and the next lookup re-derives."""
+    db = build_university(SMALL)
+    session = SessionContext(user_id="11")
+    check = db.check_validity
+    revoked = threading.Event()
+
+    def revoke():
+        db.grants.revoke("MyGrades", "public")
+        revoked.set()
+
+    def slow_check(query, session, ctx=None):
+        decision = check(query, session, ctx=ctx)
+        threading.Thread(target=revoke).start()
+        sleep(0.002)
+        assert revoked.wait(5)
+        return decision
+
+    monkeypatch.setattr(db, "check_validity", slow_check)
+    raced = cached_decide(db, OWN_GRADES, session)
+    monkeypatch.undo()
+    assert raced.validity is Validity.UNCONDITIONAL and not raced.from_cache
+    assert db.validity_cache.size == 1
+    after = assert_retired(db, OWN_GRADES, session)
+    assert after.validity is Validity.INVALID
 
 
 # -- coherence: every entry point, every kind of change ------------------------
@@ -297,10 +395,22 @@ def test_every_served_decision_equals_a_fresh_check(seed):
             assert expected[0] is not Validity.INVALID
             return expected
 
-        def checker(sql, user, time):
-            decision = ValidityChecker(db, use_cache=True).check(
-                parse_query(sql), SessionContext(user_id=user, time=time)
-            )
+        #: (sql, user, time) -> the user's stamp when decide last took it
+        decided_at = {}
+        retired = 0
+
+        def through_decide(sql, user, time):
+            """Runs first in each step, so it meets an entry the other
+            entry points have not re-stored at the current stamp."""
+            nonlocal retired
+            decision = cached_decide(db, sql, SessionContext(user_id=user, time=time))
+            stamp = db.prepared.stamp(user)
+            if decided_at.get((sql, user, time), stamp) != stamp:
+                # a grant, revoke, DDL or declared constraint that moved
+                # this user's stamp retires the entry at this lookup
+                assert not decision.from_cache, (seed, sql, user, time)
+                retired += 1
+            decided_at[sql, user, time] = stamp
             return decision.validity, decision.reason
 
         for step in range(STEPS):
@@ -310,17 +420,18 @@ def test_every_served_decision_equals_a_fresh_check(seed):
             sql = rng.choice(QUERIES).format(user=user)
             expected = fresh(db, sql, SessionContext(user_id=user, time=time))
             served = {
+                "decide": through_decide(sql, user, time),
                 "execute_query": in_process(sql, user, time, expected),
                 "gateway prepared": through_gateway(prepared, sql, user, time),
                 "gateway unprepared": through_gateway(unprepared, sql, user, time),
-                "use_cache checker": checker(sql, user, time),
             }
             for entry_point, decision in served.items():
                 assert decision == expected, (seed, step, entry_point, sql, user, time)
         # the storm exercised the cache, not just the checker: the four
-        # entry points share one entry per key
+        # entry points share one entry per key, and policy changes
+        # retired entries at their next lookup
         assert cache.hits > 2 * STEPS
-        assert cache.policy_invalidations > 10
+        assert retired > 10
         assert prepared.cache is unprepared.cache is cache
 
 

@@ -8,6 +8,7 @@ from repro.db import Database
 from repro.errors import QueryRejectedError
 from repro.nontruman.checker import ValidityChecker
 from repro.nontruman.decision import Validity
+from repro.prepared import context_key, decide
 from repro.sql import parse_query
 
 from tests.conftest import UNIVERSITY_DATA, UNIVERSITY_SCHEMA
@@ -192,37 +193,39 @@ class TestRuleTierAblations:
         assert with_u3.valid and not without_u3.valid
 
 
+def cached_check(db, query, session):
+    """The cached decision, through the one entrance to the cache."""
+    return decide(db, session, query, context=context_key(session))
+
+
 class TestCaching:
     def test_cache_hit_on_repeat(self, db):
-        checker = ValidityChecker(db, use_cache=True)
         session = db.connect(user_id="11").session
         query = parse_query("select grade from Grades where student_id = '11'")
-        first = checker.check(query, session)
-        second = checker.check(query, session)
+        first = cached_check(db, query, session)
+        second = cached_check(db, query, session)
         assert first.valid and second.valid
         assert not first.from_cache and second.from_cache
 
     def test_conditional_decision_invalidated_by_dml(self, db):
-        checker = ValidityChecker(db, use_cache=True)
         session = db.connect(user_id="11").session
         query = parse_query("select * from Grades where course_id = 'CS101'")
-        first = checker.check(query, session)
+        first = cached_check(db, query, session)
         assert first.validity is Validity.CONDITIONAL
-        assert checker.check(query, session).from_cache
+        assert cached_check(db, query, session).from_cache
         db.execute("delete from Registered where student_id = '11' and course_id = 'CS101'")
-        refreshed = checker.check(query, session)
+        refreshed = cached_check(db, query, session)
         assert not refreshed.from_cache
         assert not refreshed.valid  # no longer registered
 
     def test_prepared_statement_pattern(self, db):
         """§5.6: same skeleton re-checked cheaply when only the user-id
         literal changes with the session."""
-        checker = ValidityChecker(db, use_cache=True)
         s11 = db.connect(user_id="11").session
         q11 = parse_query("select grade from Grades where student_id = '11'")
-        assert checker.check(q11, s11).valid
+        assert cached_check(db, q11, s11).valid
         # Same user, same skeleton, same binding: from cache.
-        assert checker.check(q11, s11).from_cache
+        assert cached_check(db, q11, s11).from_cache
 
 
 class TestPruningBehavior:

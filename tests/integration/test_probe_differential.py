@@ -284,7 +284,7 @@ def shadowed(monkeypatch):
     """Every fresh check is repeated with :class:`_RowEngineProbes` and
     must take the identical decision.  A check that raced a write or a
     policy change (the chaos storm churns grants) is not compared."""
-    check_fresh = ValidityChecker._check_fresh
+    check_fresh = ValidityChecker.check
     compared = []
 
     def stamp(db):
@@ -302,7 +302,7 @@ def shadowed(monkeypatch):
             compared.append(decision)
         return decision
 
-    monkeypatch.setattr(ValidityChecker, "_check_fresh", shadow)
+    monkeypatch.setattr(ValidityChecker, "check", shadow)
     return compared
 
 

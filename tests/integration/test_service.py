@@ -236,7 +236,7 @@ class TestCacheInvalidation:
         assert again.ok and again.cache_hit
 
     def test_policy_change_invalidates_even_unconditional(self, db, gateway):
-        """A \\grant (or CREATE VIEW) moves the policy epoch: decisions
+        """A \\grant (or CREATE VIEW) moves the user's stamp: decisions
         cached before it — including rejections — must be re-derived."""
         query = "select name from Students where student_id = '12'"
         before = gateway.execute(QueryRequest(user="11", sql=query))
@@ -247,10 +247,16 @@ class TestCacheInvalidation:
         )
         db.grant_public("AllStudents")
 
+        misses = gateway.cache.misses
         after = gateway.execute(QueryRequest(user="11", sql=query))
         assert after.ok, after.error
         assert not after.cache_hit
-        assert gateway.cache.policy_invalidations >= 1
+        assert gateway.cache.misses == misses + 1
+        fresh = db.check_validity(query, db.connect(user_id="11").session)
+        assert (after.decision.validity, after.decision.reason) == (
+            fresh.validity,
+            fresh.reason,
+        )
 
     def test_revoke_invalidates_cached_acceptance(self, db, gateway):
         db.execute(

@@ -106,18 +106,20 @@ class TestTransactionsAndValidity:
         )
         db.grant_public("CoGrades")
         db.grant_public("MyRegs")
-        from repro.nontruman.checker import ValidityChecker
+        from repro.prepared import context_key, decide
         from repro.sql import parse_query
 
-        checker = ValidityChecker(db, use_cache=True)
         session = db.connect(user_id="11").session
         query = parse_query("select * from Grades where course_id = 'CS1'")
 
+        def check():
+            return decide(db, session, query, context=context_key(session))
+
         db.execute("begin")
         db.execute("insert into Registered values ('11', 'CS1')")
-        assert checker.check(query, session).conditional
+        assert check().conditional
         db.execute("rollback")
-        refreshed = checker.check(query, session)
+        refreshed = check()
         assert not refreshed.from_cache or not refreshed.valid
         assert not refreshed.valid
 

@@ -7,9 +7,9 @@ from repro.nontruman.cache import (
     ValidityCache,
     query_signature,
 )
-from repro.nontruman.checker import ValidityChecker
 from repro.nontruman.decision import Validity
 from repro.nontruman.pruning import is_relevant, prune_views, relation_names
+from repro.prepared import context_key, decide
 from repro.authviews.views import AuthorizationView
 from repro.authviews.session import SessionContext
 from repro.catalog.catalog import ViewDef
@@ -28,8 +28,11 @@ class TestQuerySignature:
         assert a != b
 
 
-#: a fixed (data_version, policy_epoch) stamp for the cache-level units
-STAMP = (0, ("grants", 0))
+#: a fixed ``(data_version, db.prepared.stamp(user))`` for the
+#: cache-level units
+STAMP = (0, ((0, 0), 0, 0))
+#: the same after a grant to the user
+MOVED = (0, ((1, 0), 0, 0))
 
 
 def key_of(sql, user="u", context=()):
@@ -113,25 +116,26 @@ class TestValidityCache:
         put(cache, "select x from T", "u", Validity.INVALID, "no rewrite")
         assert get(cache, "select x from T", "u", stamp=(1, STAMP[1])) is None
 
-    def test_nothing_survives_an_epoch_move(self):
-        """GRANT / REVOKE / DDL / a declared constraint: even
-        UNCONDITIONAL decisions are retired, and the move is counted."""
+    def test_nothing_survives_a_moved_policy_stamp(self):
+        """GRANT / REVOKE / DDL / a declared constraint / a VPD policy:
+        even UNCONDITIONAL decisions are retired, at the next lookup."""
         cache = ValidityCache()
         put(cache, "select x from T", "u", Validity.UNCONDITIONAL, "ok")
         assert get(cache, "select x from T", "u") is not None
-        assert get(cache, "select x from T", "u", stamp=(0, ("grants", 1))) is None
-        assert cache.size == 0
-        assert cache.policy_invalidations == 1
+        misses = cache.misses
+        assert get(cache, "select x from T", "u", stamp=MOVED) is None
+        assert cache.misses == misses + 1
 
-    def test_store_with_a_stale_epoch_is_never_served(self):
-        """A check racing a policy change stores with the epoch it
-        observed before the change; the entry lands after the clear."""
+    def test_store_with_a_stale_policy_stamp_is_never_served(self):
+        """A check racing a policy change stores with the stamp it
+        observed before the change; no later lookup serves it."""
         cache = ValidityCache()
-        moved = (0, ("grants", 1))
-        assert get(cache, "select x from T", "u") is None
-        assert get(cache, "select x from T", "u", stamp=moved) is None
+        assert get(cache, "select x from T", "u", stamp=MOVED) is None
         put(cache, "select x from T", "u", Validity.UNCONDITIONAL, "ok", stamp=STAMP)
-        assert get(cache, "select x from T", "u", stamp=moved) is None
+        misses = cache.misses
+        assert get(cache, "select x from T", "u", stamp=MOVED) is None
+        assert get(cache, "select x from T", "u", stamp=MOVED) is None
+        assert cache.misses == misses + 2
 
 
 class TestLruBound:
@@ -194,24 +198,26 @@ class TestCacheInvalidationOnDml:
     def test_insert_then_delete_recheck_conditional_decision(self):
         db = self._db()
         session = db.connect(user_id="u1").session
-        checker = ValidityChecker(db, use_cache=True)
         query = parse_query("select * from Grades where course_id = 'CS1'")
 
-        first = checker.check(query, session)
+        def check():
+            return decide(db, session, query, context=context_key(session))
+
+        first = check()
         assert first.conditional and not first.from_cache
-        cached = checker.check(query, session)
+        cached = check()
         assert cached.from_cache
 
         # DELETE moves the data version: the registration probe that
         # justified the decision no longer holds
         db.execute("delete from Registered where student_id = 'u1'")
-        after_delete = checker.check(query, session)
+        after_delete = check()
         assert not after_delete.from_cache
         assert not after_delete.valid
 
         # INSERT moves it again: validity is re-derived, not replayed
         db.execute("insert into Registered values ('u1', 'CS1')")
-        after_insert = checker.check(query, session)
+        after_insert = check()
         assert not after_insert.from_cache
         assert after_insert.conditional
 
