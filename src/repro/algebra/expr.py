@@ -122,14 +122,50 @@ def substitute_params(expr: ast.Expr, values: Mapping[str, object]) -> ast.Expr:
 
 
 def substitute_access_params(expr: ast.Expr, values: Mapping[str, object]) -> ast.Expr:
-    """Replace ``$$param`` nodes with literals from ``values``."""
+    """Replace ``$$param`` nodes with literals from ``values``.
 
-    def visit(node: ast.Expr) -> Optional[ast.Expr]:
-        if isinstance(node, ast.AccessParam) and node.name in values:
-            return ast.Literal(values[node.name])
-        return None
+    Sparse: a subtree without a replaced parameter is returned as the
+    same object, so clean subtrees keep their identity (prepared plans
+    key compiled kernels on it) and a caller can test ``new is old``.
+    """
+    if isinstance(expr, ast.AccessParam):
+        if expr.name in values:
+            return ast.Literal(values[expr.name])
+        return expr
+    children = ast.expr_children(expr)
+    if not children:
+        return expr
+    new_children = tuple(substitute_access_params(c, values) for c in children)
+    if all(new is old for new, old in zip(new_children, children)):
+        return expr
+    return _with_children(expr, new_children)
 
-    return transform(expr, visit)
+
+def _with_children(expr: ast.Expr, children: tuple) -> ast.Expr:
+    """Rebuild ``expr`` with new children, in the order of
+    :func:`ast.expr_children`."""
+    if isinstance(expr, ast.BinaryOp):
+        return ast.BinaryOp(expr.op, children[0], children[1])
+    if isinstance(expr, ast.UnaryOp):
+        return ast.UnaryOp(expr.op, children[0])
+    if isinstance(expr, ast.IsNull):
+        return ast.IsNull(children[0], expr.negated)
+    if isinstance(expr, ast.InSubquery):
+        return ast.InSubquery(children[0], expr.query, expr.negated)
+    if isinstance(expr, ast.InList):
+        return ast.InList(children[0], children[1:], expr.negated)
+    if isinstance(expr, ast.Between):
+        return ast.Between(children[0], children[1], children[2], expr.negated)
+    if isinstance(expr, ast.FuncCall):
+        return ast.FuncCall(expr.name, children, expr.distinct)
+    if isinstance(expr, ast.CaseExpr):
+        pairs = len(expr.branches)
+        branches = tuple(
+            (children[2 * i], children[2 * i + 1]) for i in range(pairs)
+        )
+        default = children[2 * pairs] if expr.default is not None else None
+        return ast.CaseExpr(branches, default)
+    raise TypeError(f"cannot rebuild expression node {type(expr).__name__}")
 
 
 def rename_bindings(expr: ast.Expr, mapping: Mapping[str, str]) -> ast.Expr:

@@ -210,6 +210,17 @@ class GrantRegistry:
                 return True
         return False
 
+    def granted_views(self, user: Optional[str]) -> set[str]:
+        """Lower-cased names of every view granted to ``user`` (directly
+        or via PUBLIC): one pass, the rules of :meth:`is_granted`."""
+        who = None if user is None else user.lower()
+        with self._lock:
+            return {
+                r.view
+                for r in self._records
+                if r.grantee == PUBLIC or r.grantee == who
+            }
+
     def has_grant_option(self, view_name: str, user: Optional[str]) -> bool:
         if user is None:
             return False

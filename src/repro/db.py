@@ -205,6 +205,11 @@ class Database:
         from repro.nontruman.cache import ValidityCache
 
         self.validity_cache = ValidityCache()
+        #: authorization views compiled once per catalog version, bound
+        #: to each session per check (repro.nontruman.compiled)
+        from repro.nontruman.compiled import CompiledViewCache
+
+        self.compiled_views = CompiledViewCache(self.catalog)
         self.checker_options: dict[str, object] = {}
         #: prepared-statement template cache (paper Section 5.6); always
         #: populated lazily, but only consulted by execute_query when

@@ -15,6 +15,8 @@ Stages
 ``sql.parse``        a statement was parsed from text
 ``validity.check``   the Non-Truman checker ran an inference
 ``validity.probe``   a C3 probe was executed (per-check memo misses only)
+``validity.view_compile``  an authorization view was compiled (once per
+                     view and catalog version, :mod:`repro.nontruman.compiled`)
 ``plan.build``       a query was translated to algebra
 ``plan.push``        the selection-pushdown optimizer ran over a plan
 ``engine.compile``   a scalar expression was compiled to a vector kernel

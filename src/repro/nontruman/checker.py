@@ -15,7 +15,10 @@ Architecture:
 3. SPJ and aggregate blocks are matched against the user's instantiated
    authorization views by :class:`~repro.nontruman.matching.BlockMatcher`
    (rules U2, U3a/b/c, C3a/b), recursively for derived tables and
-   probe queries;
+   probe queries.  The views are not instantiated per check: each is
+   compiled once per catalog version (``db.compiled_views``,
+   :mod:`repro.nontruman.compiled`), and the check binds the session's
+   ``$param`` values into the granted, relevant ones;
 4. accepted queries carry an executable *witness* rewriting over view
    scans plus a rule-by-rule derivation trace.
 
@@ -34,17 +37,15 @@ from repro.errors import (
     BindError,
     CatalogError,
     ParameterError,
-    ReproError,
     UnsupportedFeatureError,
 )
 from repro.sql import ast
 from repro.algebra import ops
 from repro.algebra.translate import Translator
 from repro.authviews.session import SessionContext
-from repro.authviews.views import InstantiatedView
 from repro.catalog.catalog import ViewDef
 from repro.instrument import COUNTERS
-from repro.nontruman.blocks import AggBlock, BlockBuilder, SPJBlock
+from repro.nontruman.blocks import BlockBuilder, SPJBlock
 from repro.nontruman.decision import RuleApplication, Validity, ValidityDecision
 from repro.nontruman.matching import BlockMatcher, CandidateView, Rewriting
 from repro.nontruman.pruning import prune_views
@@ -167,73 +168,19 @@ class ValidityChecker:
     def _candidate_views(
         self, query: ast.QueryExpr, session: SessionContext
     ) -> list[CandidateView]:
-        from repro.authviews.views import AuthorizationView
-
-        # Prune on the raw stored definitions BEFORE instantiation — the
-        # whole point of the §5.6 optimization is to avoid per-view work
-        # for views that cannot participate.
-        granted = [
-            view_def
-            for view_def in self.db.catalog.views()
-            if view_def.authorization
-            and self.db.grants.is_granted(view_def.name, session.user)
-        ]
+        # grants pick the views; their compiled forms are the database's,
+        # shared by every user and compiled once per catalog version
+        granted = self.db.compiled_views.granted(
+            self.db.grants.granted_views(session.user)
+        )
         self.views_considered = len(granted)
         if self.use_pruning:
             granted = prune_views(granted, query)
         self.views_pruned = self.views_considered - len(granted)
 
-        candidates: list[CandidateView] = []
-        for view_def in granted:
-            try:
-                instantiated = AuthorizationView.from_def(view_def).instantiate(
-                    session
-                )
-            except ReproError:
-                continue
-            candidate = self._blockify_view(instantiated, session)
-            if candidate is not None:
-                candidates.append(candidate)
-        return candidates
-
-    def _blockify_view(
-        self, instantiated: InstantiatedView, session: SessionContext
-    ) -> Optional[CandidateView]:
-        translator = Translator(
-            self.db.catalog,
-            param_values=session.param_values(),
-            view_filter=lambda v: not v.authorization,  # no view nesting
-            allow_access_params=True,
-        )
-        try:
-            plan = translator.translate(instantiated.query)
-        except ReproError:
-            return None
-        column_names = instantiated.definition.column_names
-        if column_names:
-            if len(column_names) != len(plan.columns):
-                return None
-            plan = ops.Project(
-                plan,
-                tuple(
-                    (col.ref(), name)
-                    for col, name in zip(plan.columns, column_names)
-                ),
-            )
-        builder = BlockBuilder()
-        block = builder.to_query_form(plan)
-        if block is None:
-            return None
-        if isinstance(block, SPJBlock) and any(
-            t.kind != "table" for t in block.tables
-        ):
-            return None
-        output_names = tuple(c.name for c in plan.columns)
-        if isinstance(block, SPJBlock) and len(block.outputs) != len(output_names):
-            return None
-        return CandidateView(
-            name=instantiated.name, block=block, output_names=output_names
-        )
+        values = session.param_values()
+        candidates = (view.bind(values) for view in granted)
+        return [c for c in candidates if c is not None]
 
     # -- plan-level recursion (rules U2/C2 over query structure) ---------------------
 

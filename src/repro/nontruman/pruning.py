@@ -3,10 +3,12 @@
 "Given a query, we can eliminate authorization views that cannot
 possibly be of use in validating the query."  A view is *relevant* only
 if it mentions at least one relation the query mentions: a view over
-disjoint relations can never cover a query table instance.  The test
-runs on raw ASTs, before the (comparatively expensive) translation and
-block conversion of the view body — that is the point of the
-optimization, measured by experiment E3.
+disjoint relations can never cover a query table instance.  Each view's
+relation set is read from its raw body once, when the view is compiled
+(:mod:`repro.nontruman.compiled`); per check, pruning intersects sets.
+Views are compiled once per catalog version either way, so what pruning
+saves per check is binding the session into a view and matching it —
+measured by experiment E3.
 """
 
 from __future__ import annotations
@@ -51,8 +53,10 @@ def is_relevant(view_query: ast.QueryExpr, query_relations: set[str]) -> bool:
     return bool(relation_names(view_query) & query_relations)
 
 
-def prune_views(instantiated_views, query: ast.QueryExpr):
-    """Filter a list of InstantiatedView to those relevant to ``query``.
+def prune_views(views, query: ast.QueryExpr):
+    """Filter ``views`` (each with a ``name`` and a lower-cased
+    ``relations`` set, e.g. :class:`~repro.nontruman.compiled.CompiledView`)
+    to those relevant to ``query``.
 
     Relevance is computed as a fixpoint: a view touching a relation of
     the query is relevant, and the *other* relations of relevant views
@@ -62,19 +66,19 @@ def prune_views(instantiated_views, query: ast.QueryExpr):
     ``Registered`` raised by ``CoStudentGrades``, Example 4.4).
     """
     target = relation_names(query)
-    view_relations = {
-        iv.name: relation_names(iv.query) for iv in instantiated_views
-    }
-    relevant: dict[str, object] = {}
+    relevant = []
+    pending = list(views)
     changed = True
     while changed:
         changed = False
-        for iv in instantiated_views:
-            if iv.name in relevant:
-                continue
-            names = view_relations[iv.name]
-            if iv.name.lower() in target or names & target:
-                relevant[iv.name] = iv
-                target |= names
-                changed = True
-    return list(relevant.values())
+        rest = []
+        for view in pending:
+            if view.name.lower() in target or not view.relations.isdisjoint(target):
+                relevant.append(view)
+                if not view.relations <= target:  # rescan only if it grew
+                    target |= view.relations
+                    changed = True
+            else:
+                rest.append(view)
+        pending = rest
+    return relevant

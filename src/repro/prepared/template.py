@@ -26,7 +26,6 @@ Binding happens at two levels:
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from repro.sql import ast
 from repro.algebra import expr as exprs
@@ -56,57 +55,6 @@ def bind_skeleton(skeleton: ast.QueryExpr, literals: tuple) -> ast.QueryExpr:
     values = bind_values(literals)
     return _map_query_exprs(
         skeleton, lambda e: exprs.substitute_access_params(e, values)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Sparse (identity-preserving) substitution over plan expressions
-# ---------------------------------------------------------------------------
-
-
-def _substitute_sparse(expr: Optional[ast.Expr], values: dict) -> Optional[ast.Expr]:
-    """Like :func:`exprs.substitute_access_params` but returns ``expr``
-    itself (same object) when no placeholder occurs in it, so clean
-    subtrees keep their identity across binds."""
-    if expr is None:
-        return None
-    if isinstance(expr, ast.AccessParam):
-        if expr.name in values:
-            return ast.Literal(values[expr.name])
-        return expr
-    children = ast.expr_children(expr)
-    if not children:
-        return expr
-    new_children = tuple(_substitute_sparse(c, values) for c in children)
-    if all(new is old for new, old in zip(new_children, children)):
-        return expr
-    return _rebuild_expr(expr, new_children)
-
-
-def _rebuild_expr(expr: ast.Expr, children: tuple) -> ast.Expr:
-    """Rebuild ``expr`` with new children, mirroring the child order of
-    :func:`ast.expr_children`."""
-    if isinstance(expr, ast.BinaryOp):
-        return dataclasses.replace(expr, left=children[0], right=children[1])
-    if isinstance(expr, (ast.UnaryOp, ast.IsNull, ast.InSubquery)):
-        return dataclasses.replace(expr, operand=children[0])
-    if isinstance(expr, ast.InList):
-        return dataclasses.replace(expr, operand=children[0], items=children[1:])
-    if isinstance(expr, ast.Between):
-        return dataclasses.replace(
-            expr, operand=children[0], low=children[1], high=children[2]
-        )
-    if isinstance(expr, ast.FuncCall):
-        return dataclasses.replace(expr, args=children)
-    if isinstance(expr, ast.CaseExpr):
-        pairs = len(expr.branches)
-        branches = tuple(
-            (children[2 * i], children[2 * i + 1]) for i in range(pairs)
-        )
-        default = children[2 * pairs] if expr.default is not None else None
-        return dataclasses.replace(expr, branches=branches, default=default)
-    raise PreparedFallback(
-        f"cannot rebuild expression node {type(expr).__name__}"
     )
 
 
@@ -260,28 +208,26 @@ class PlanBinder:
         changes: dict = {}
         for field in _CHILD_FIELDS[type(op)]:
             changes[field] = self._bind_op(getattr(op, field), values)
-        if isinstance(op, ops.Select):
-            changes["predicate"] = _substitute_sparse(op.predicate, values)
+        substitute = exprs.substitute_access_params
+        if isinstance(op, (ops.Select, ops.Join)) and op.predicate is not None:
+            changes["predicate"] = substitute(op.predicate, values)
         elif isinstance(op, ops.Project):
             changes["exprs"] = tuple(
-                (_substitute_sparse(e, values), name) for e, name in op.exprs
+                (substitute(e, values), name) for e, name in op.exprs
             )
-        elif isinstance(op, ops.Join):
-            changes["predicate"] = _substitute_sparse(op.predicate, values)
-        elif isinstance(op, ops.SemiJoin):
-            changes["operand"] = _substitute_sparse(op.operand, values)
+        elif isinstance(op, ops.SemiJoin) and op.operand is not None:
+            changes["operand"] = substitute(op.operand, values)
         elif isinstance(op, ops.Aggregate):
             changes["group_exprs"] = tuple(
-                (_substitute_sparse(e, values), name)
-                for e, name in op.group_exprs
+                (substitute(e, values), name) for e, name in op.group_exprs
             )
             changes["aggregates"] = tuple(
-                (_substitute_sparse(call, values), name)
+                (substitute(call, values), name)
                 for call, name in op.aggregates
             )
         elif isinstance(op, ops.Sort):
             changes["keys"] = tuple(
-                (_substitute_sparse(e, values), desc) for e, desc in op.keys
+                (substitute(e, values), desc) for e, desc in op.keys
             )
         return dataclasses.replace(op, **changes)
 

@@ -10,9 +10,8 @@ from repro.nontruman.cache import (
 from repro.nontruman.decision import Validity
 from repro.nontruman.pruning import is_relevant, prune_views, relation_names
 from repro.prepared import context_key, decide
-from repro.authviews.views import AuthorizationView
-from repro.authviews.session import SessionContext
-from repro.catalog.catalog import ViewDef
+from repro.catalog.catalog import Catalog, ViewDef
+from repro.nontruman.compiled import compile_view
 
 
 class TestQuerySignature:
@@ -223,9 +222,10 @@ class TestCacheInvalidationOnDml:
 
 
 def iv(name, sql):
-    return AuthorizationView.from_def(
-        ViewDef(name, parse_query(sql), authorization=True)
-    ).instantiate(SessionContext(user_id="u"))
+    """A compiled view: pruning reads the relation set cached on it."""
+    return compile_view(
+        Catalog(), ViewDef(name, parse_query(sql), authorization=True), 0
+    )
 
 
 class TestPruning:
