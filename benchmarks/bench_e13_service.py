@@ -144,7 +144,7 @@ def test_backpressure_bounds_admission(db):
                 mode="open",
             )
         )
-        while gateway.metrics.gauge("workers_busy").value < 1:
+        while gateway.metrics.get("workers_busy") < 1:
             pass
 
         admitted = []

@@ -102,7 +102,7 @@ def test_cancellation_latency_mid_inference():
             QueryRequest(user="11", sql=PATHOLOGICAL_SQL, deadline=1.0)
         )
         wait_until = time.time() + 10
-        while gateway.metrics.gauge("workers_busy").value < 1:
+        while gateway.metrics.get("workers_busy") < 1:
             assert time.time() < wait_until
             time.sleep(0.001)
         served = 0

@@ -8,8 +8,10 @@ are printed in the terminal summary after pytest-benchmark's own table.
 Every experiment that recorded rows is additionally written out as
 machine-readable ``BENCH_<id>.json`` (E13–E17 alike), so the perf
 trajectory is diffable across PRs instead of living only in the
-EXPERIMENTS.md prose.  ``REPRO_BENCH_JSON_DIR`` overrides the output
-directory (default: the repository root).
+EXPERIMENTS.md prose.  The default output directory is ``bench-out/``
+at the repository root (ignored by git), so a local run never rewrites
+the committed reference results; ``REPRO_BENCH_JSON_DIR`` overrides it
+(``REPRO_BENCH_JSON_DIR=.`` refreshes a committed ``BENCH_<id>.json``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line("")
     out_dir = Path(
         os.environ.get(
-            "REPRO_BENCH_JSON_DIR", Path(__file__).resolve().parent.parent
+            "REPRO_BENCH_JSON_DIR",
+            Path(__file__).resolve().parent.parent / "bench-out",
         )
     )
     for experiment in _EXPERIMENTS:
@@ -53,6 +56,7 @@ def pytest_terminal_summary(terminalreporter):
             continue
         path = out_dir / f"BENCH_{experiment.id}.json"
         try:
+            out_dir.mkdir(parents=True, exist_ok=True)
             experiment.write_json(path)
         except OSError as exc:
             terminalreporter.write_line(f"could not write {path}: {exc}")

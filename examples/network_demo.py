@@ -64,7 +64,7 @@ def main() -> None:
         dropper.drop()  # no goodbye: the server must cancel the work
         time.sleep(0.5)
         print(f"  disconnect_cancels = "
-              f"{gateway.metrics.counter('disconnect_cancels').value}")
+              f"{gateway.metrics.get('disconnect_cancels')}")
         record = gateway.audit.tail(1)[0]
         print(f"  last audit record: status={record.status} "
               f"signature={record.signature[:60]}...\n")

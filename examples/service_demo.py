@@ -82,7 +82,7 @@ try:
         QueryRequest(user=None, mode="open",
                      sql="insert into Courses values ('CS900', 'Demo')")
     )
-    while tiny.metrics.gauge("workers_busy").value < 1:
+    while tiny.metrics.get("workers_busy") < 1:
         pass  # wait until the worker has dequeued the pinned DML
     queued = tiny.submit(
         QueryRequest(user="11", sql="select 1 from Courses", mode="open")

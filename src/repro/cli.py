@@ -27,7 +27,7 @@ exposes — ``\\stats`` shows the gateway's live metrics.  Meta-commands:
                    expiry against it
 ``\\grant V U``     grant view V to user U (or PUBLIC)
 ``\\tables``        list base tables
-``\\stats``         gateway metrics: requests, cache, pool, latency
+``\\stats``         gateway metrics: requests, cache, breaker, latency
 ``\\replicas``      cluster replica health: state, lag, policy epoch,
                    heartbeat age, divergence counters (sharded
                    coordinators only)
@@ -274,11 +274,14 @@ class Shell:
         if self.mode != "non-truman":
             return
         # non-truman mode: trace the validity decision, and (with a
-        # ReBAC policy attached) the tuple chains behind it
-        from repro.rebac.trace import explain_query, render_report
+        # ReBAC policy attached) the tuple chains behind it — through
+        # the gateway, under its lock and deadline like a query
+        from repro.rebac.trace import render_report
 
         try:
-            report = explain_query(self.db, statement, self.conn.session)
+            report = self.gateway().explain(
+                self.user, self.mode, self.session_params(), statement
+            )
         except ReproError as exc:
             self.write(f"error: {exc}")
             return

@@ -51,7 +51,9 @@ report on demand (``health`` is ``null`` against a single-node
 server).  See :mod:`repro.cluster.health` for the state machine.
 
 ``explain`` runs the Non-Truman validity check *without executing the
-query* and answers the full decision trace
+query*, through the gateway (its read lock and default deadline: a
+check past the deadline answers a ``timeout`` error), and answers the
+full decision trace
 (:mod:`repro.rebac.trace`): validity, reason, inference rules fired,
 views used, and — when the database carries a compiled ReBAC policy —
 the relationship-tuple chains that justify (or fail to justify) the

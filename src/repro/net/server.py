@@ -61,6 +61,7 @@ from repro.errors import (
     ConnectionDropped,
     FrameTooLarge,
     ProtocolError,
+    QueryTimeout,
     ReproError,
     ServiceOverloaded,
     ServiceShutdown,
@@ -81,8 +82,9 @@ from repro.net.protocol import (
 from repro.service.gateway import EnforcementGateway, PendingQuery
 from repro.service.request import QueryRequest, QueryResponse, RequestStatus
 
-#: network instruments, pre-created so ``\stats`` shows them at zero
+#: network counts, bumped by 0 at start so ``\stats`` shows them at zero
 NET_COUNTERS = (
+    "connections_open",
     "sessions_authenticated",
     "frames_sent",
     "frames_received",
@@ -196,12 +198,11 @@ class ReproServer:
         self.rows_per_frame = rows_per_frame
         self.chaos = chaos
         self.name = name
-        #: network metrics live in the gateway registry so ``\stats``
+        #: network counts live in the gateway's store so ``\stats``
         #: and ``gateway.stats()`` report wire and worker state together
         self.metrics = gateway.metrics
-        self.metrics.gauge("connections_open")
         for counter in NET_COUNTERS:
-            self.metrics.counter(counter)
+            self.metrics.bump(counter, 0)
         self._server: Optional[asyncio.base_events.Server] = None
         self._sessions: set[_Session] = set()
         self._tasks: set[asyncio.Task] = set()
@@ -249,7 +250,7 @@ class ReproServer:
     ) -> None:
         session = _Session(writer)
         self._sessions.add(session)
-        self.metrics.gauge("connections_open").inc()
+        self.metrics.bump("connections_open")
         try:
             self._fire_chaos("net.accept")
             await self._read_loop(session, reader)
@@ -266,9 +267,9 @@ class ReproServer:
             session.closing = True
             dropped = session.cancel_inflight()
             if dropped:
-                self.metrics.counter("disconnect_cancels").inc(dropped)
+                self.metrics.bump("disconnect_cancels", dropped)
             self._sessions.discard(session)
-            self.metrics.gauge("connections_open").dec()
+            self.metrics.bump("connections_open", -1)
             writer.close()
 
     async def _read_loop(
@@ -283,7 +284,7 @@ class ReproServer:
                     f"{self.max_frame_size}-byte limit"
                 )
             payload = await reader.readexactly(length)
-            self.metrics.counter("frames_received").inc()
+            self.metrics.bump("frames_received")
             message = decode_payload(payload)
             if not await self._dispatch(session, message):
                 return
@@ -412,7 +413,7 @@ class ReproServer:
         first_auth = not session.authenticated
         session.authenticated = True
         if first_auth:
-            self.metrics.counter("sessions_authenticated").inc()
+            self.metrics.bump("sessions_authenticated")
         self._fire_chaos("net.after_hello")
         welcome = {
             "type": "welcome",
@@ -453,26 +454,30 @@ class ReproServer:
         return report()
 
     async def _handle_explain(self, session: _Session, fields: dict) -> None:
-        """``explain``: validity check + decision trace, no execution."""
-        from repro.rebac.trace import explain_query, render_report
+        """``explain``: the gateway's validity check + decision trace,
+        no execution."""
+        from repro.rebac.trace import render_report
 
-        request_id, mode = fields["id"], fields["mode"]
-        db = self.gateway.db
+        request_id = fields["id"]
         loop = asyncio.get_running_loop()
-
-        def _trace():
-            conn = db.connect(user_id=session.user, mode=mode,
-                              **dict(session.params))
-            return explain_query(db, fields["sql"], conn.session)
-
         try:
-            # the validity check may run probe queries; keep it off the
-            # event loop like the gateway keeps query work off it
-            report = await loop.run_in_executor(None, _trace)
+            # the check may run probe queries; keep it off the event
+            # loop like the gateway keeps query work off it
+            report = await loop.run_in_executor(
+                None,
+                self.gateway.explain,
+                session.user,
+                fields["mode"],
+                session.params,
+                fields["sql"],
+            )
+        except QueryTimeout as exc:
+            await self._try_send_error(session, request_id, "timeout", str(exc))
+            return
         except ReproError as exc:
             await self._try_send_error(session, request_id, "error", str(exc))
             return
-        self.metrics.counter("net_explains").inc()
+        self.metrics.bump("net_explains")
         await self._send(
             session,
             {
@@ -501,7 +506,7 @@ class ReproServer:
         handle = session.register_prepared(
             skeleton, len(literals), signature_text
         )
-        self.metrics.counter("net_prepares").inc()
+        self.metrics.bump("net_prepares")
         await self._send(
             session,
             {
@@ -543,7 +548,7 @@ class ReproServer:
             skeleton=skeleton,
             literals=tuple(args),
         )
-        self.metrics.counter("net_executes").inc()
+        self.metrics.bump("net_executes")
         await self._submit_request(session, request_id, request)
 
     async def _submit_request(
@@ -561,7 +566,7 @@ class ReproServer:
                 session, request_id, "shutdown", str(exc)
             )
             return
-        self.metrics.counter("net_queries").inc()
+        self.metrics.bump("net_queries")
         session.inflight[request_id] = pending
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
@@ -611,9 +616,7 @@ class ReproServer:
                 ):
                     await self._send(session, frame)
                     frames += 1
-                    self.metrics.counter("net_rows_streamed").inc(
-                        len(frame["rows"])
-                    )
+                    self.metrics.bump("net_rows_streamed", len(frame["rows"]))
             await self._send(
                 session,
                 {
@@ -658,7 +661,7 @@ class ReproServer:
                 raise
             session.writer.write(data)
             await session.writer.drain()
-            self.metrics.counter("frames_sent").inc()
+            self.metrics.bump("frames_sent")
 
     async def _try_send_error(
         self,
@@ -668,7 +671,7 @@ class ReproServer:
         message: str,
     ) -> None:
         if code == "protocol":
-            self.metrics.counter("net_protocol_errors").inc()
+            self.metrics.bump("net_protocol_errors")
         try:
             await self._send(
                 session,

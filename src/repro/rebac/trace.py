@@ -7,8 +7,10 @@ justifies the session user's grant on the objects the query names; for
 a rejected query it reports the inference rules that failed to fire and
 which missing (or expired) tuple chain is to blame.  The same report
 backs the CLI ``\\explain`` meta-command and the ``explain`` wire
-message, and :func:`render_report` is the shared text rendering, so
-tests can assert on exactly what users see.
+message, both through
+:meth:`repro.service.gateway.EnforcementGateway.explain`, and
+:func:`render_report` is the shared text rendering, so tests can assert
+on exactly what users see.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.sql import ast, parse_statement
 if TYPE_CHECKING:  # pragma: no cover
     from repro.authviews.session import SessionContext
     from repro.db import Database
+    from repro.service.context import QueryContext
 
 
 @dataclass
@@ -141,10 +144,15 @@ def explain_query(
     db: "Database",
     sql: Union[str, ast.QueryExpr],
     session: "SessionContext",
+    ctx: Optional["QueryContext"] = None,
 ) -> ExplainReport:
-    """Check validity and trace the decision back to tuple chains."""
+    """Check validity and trace the decision back to tuple chains.
+
+    ``ctx`` bounds the check like a query's: past its deadline the
+    inference aborts with :class:`~repro.errors.QueryTimeout`.
+    """
     query = parse_statement(sql) if isinstance(sql, str) else sql
-    decision = db.check_validity(query, session)
+    decision = db.check_validity(query, session, ctx)
     report = ExplainReport(
         sql=sql if isinstance(sql, str) else str(sql),
         user=session.user,

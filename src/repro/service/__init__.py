@@ -2,8 +2,8 @@
 
 A thread-safe, multi-session front door over one
 :class:`~repro.db.Database`: worker pool, bounded admission queue with
-backpressure, per-request deadlines, per-user connection pooling, and
-an observability layer (structured audit log + metrics registry).
+backpressure, per-request deadlines, and an observability layer
+(structured audit log + one :class:`~repro.instrument.Metrics` store).
 Validity decisions are remembered by the database's own decision cache
 (:mod:`repro.nontruman.cache`).
 
@@ -30,8 +30,6 @@ from repro.service.chaos import (
 from repro.service.clock import Clock, ManualClock, SYSTEM_CLOCK
 from repro.service.context import QueryContext
 from repro.service.gateway import EnforcementGateway, PendingQuery
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry, State
-from repro.service.pool import ConnectionPool
 from repro.service.request import QueryRequest, QueryResponse, RequestStatus, Timing
 
 __all__ = [
@@ -40,22 +38,16 @@ __all__ = [
     "ChaosInjector",
     "CircuitBreaker",
     "Clock",
-    "ConnectionPool",
-    "Counter",
     "ManualClock",
     "SYSTEM_CLOCK",
     "EnforcementGateway",
     "FaultSpec",
     "GATEWAY_FAULT_POINTS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NET_FAULT_POINTS",
     "PendingQuery",
     "QueryContext",
     "QueryRequest",
     "QueryResponse",
     "RequestStatus",
-    "State",
     "Timing",
 ]

@@ -14,15 +14,15 @@ broken fsync.  The breaker implements the classic three-state machine:
 * **half-open** — exactly one probe write is allowed through; success
   closes the breaker, failure re-opens it and restarts the cooldown.
 
-Thread-safe; transitions are reported through ``on_transition`` so the
-gateway can mirror the state into its metrics registry.
+Thread-safe; the breaker counts its own state changes
+(``breaker_transitions`` in :meth:`CircuitBreaker.stats`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 CLOSED = "closed"
 OPEN = "open"
@@ -36,14 +36,12 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 3,
         cooldown: float = 1.0,
-        on_transition: Optional[Callable[[str, str], None]] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        self.on_transition = on_transition
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
@@ -53,6 +51,7 @@ class CircuitBreaker:
         #: lifetime counters (read by gateway stats)
         self.trips = 0
         self.recoveries = 0
+        self.transitions = 0
 
     @property
     def state(self) -> str:
@@ -60,10 +59,9 @@ class CircuitBreaker:
             return self._state
 
     def _transition(self, new_state: str) -> None:
-        """Caller holds the lock."""
-        old, self._state = self._state, new_state
-        if old != new_state and self.on_transition is not None:
-            self.on_transition(old, new_state)
+        """Caller holds the lock; ``new_state`` differs from the current."""
+        self._state = new_state
+        self.transitions += 1
 
     def allow(self) -> bool:
         """May a governed call proceed right now?
@@ -116,4 +114,5 @@ class CircuitBreaker:
                 "breaker_consecutive_failures": self._failures,
                 "breaker_trips": self.trips,
                 "breaker_recoveries": self.recoveries,
+                "breaker_transitions": self.transitions,
             }

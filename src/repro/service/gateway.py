@@ -5,8 +5,10 @@ reproduction: clients submit :class:`~repro.service.request.QueryRequest`
 objects; a fixed worker pool takes them off a bounded admission queue,
 checks them under the requested access-control model (Truman rewriting,
 Non-Truman validity inference, Motro masking, or open), executes
-accepted queries on pooled per-user connections, and answers with
+accepted queries under the requester's session, and answers with
 structured :class:`~repro.service.request.QueryResponse` objects.
+:meth:`EnforcementGateway.explain` takes the same decision without
+executing, under the same lock and deadline.
 
 Architecturally this is the PDP/PEP split of Guarnieri et al. (*Strong
 and Provably Secure Database Access Control*): the gateway is the
@@ -59,7 +61,7 @@ import queue
 import random
 import threading
 import time
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
 
 from repro.errors import (
     DurabilityError,
@@ -78,6 +80,7 @@ from repro.errors import (
     UpdateRejectedError,
 )
 from repro.sql import ast, parse_statement, render
+from repro.instrument import Metrics
 from repro.nontruman.cache import query_signature
 from repro.prepared import (
     PREPARABLE_MODES,
@@ -93,12 +96,11 @@ from repro.service.audit import AuditLog
 from repro.service.breaker import CircuitBreaker
 from repro.service.clock import SYSTEM_CLOCK, Clock
 from repro.service.context import QueryContext
-from repro.service.metrics import MetricsRegistry
-from repro.service.pool import ConnectionPool
 from repro.service.request import QueryRequest, QueryResponse, RequestStatus, Timing
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
+    from repro.rebac.trace import ExplainReport
 
 
 class _ReadWriteLock:
@@ -219,7 +221,6 @@ class EnforcementGateway:
         workers: int = 4,
         queue_size: int = 64,
         audit_capacity: int = 2048,
-        max_idle_per_user: int = 8,
         name: str = "gateway",
         default_deadline: Optional[float] = 30.0,
         default_row_budget: Optional[int] = None,
@@ -242,10 +243,11 @@ class EnforcementGateway:
         #: (explicit PREPARE'd requests *and* transparent server-side
         #: templating of plain SQL text)
         self.prepared_statements = prepared_statements
-        self.pool = ConnectionPool(db, max_idle_per_key=max_idle_per_user)
         #: the database's decision cache (for stats and tests)
         self.cache = db.validity_cache
-        self.metrics = MetricsRegistry()
+        #: this gateway's counts and latency distributions, shared with
+        #: the network server that fronts it
+        self.metrics = Metrics()
         self.audit = AuditLog(capacity=audit_capacity, clock=self.clock)
         self.queue_size = queue_size
         #: deadline applied to requests that carry none (None = unbounded)
@@ -263,13 +265,10 @@ class EnforcementGateway:
         self.chaos = chaos
         self._rng = random.Random(retry_seed)
         self._breaker = CircuitBreaker(
-            failure_threshold=breaker_threshold,
-            cooldown=breaker_cooldown,
-            on_transition=self._breaker_transition,
+            failure_threshold=breaker_threshold, cooldown=breaker_cooldown
         )
-        self.metrics.state("breaker_state", initial="closed").set("closed")
-        # pre-create the resilience instruments so operators see them in
-        # \stats (and tests can assert on them) even before they fire
+        # show the resilience counts in \stats (and to tests) at zero,
+        # before they first fire
         for counter in (
             "requests_cancelled_inflight",
             "requests_degraded",
@@ -283,7 +282,7 @@ class EnforcementGateway:
             "replica_reads",
             "replica_fallbacks",
         ):
-            self.metrics.counter(counter)
+            self.metrics.bump(counter, 0)
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_size)
         self._rwlock = _ReadWriteLock()
         self._accepting = True
@@ -296,10 +295,6 @@ class EnforcementGateway:
         ]
         for worker in self._workers:
             worker.start()
-
-    def _breaker_transition(self, old: str, new: str) -> None:
-        self.metrics.state("breaker_state").set(new)
-        self.metrics.counter("breaker_transitions").inc()
 
     def _fire_chaos(self, point: str) -> None:
         if self.chaos is not None:
@@ -344,7 +339,7 @@ class EnforcementGateway:
         try:
             self._queue.put_nowait(item)
         except queue.Full:
-            self.metrics.counter("requests_overloaded").inc()
+            self.metrics.bump("requests_overloaded")
             self.audit.record(
                 user=request.user,
                 mode=request.mode,
@@ -357,8 +352,7 @@ class EnforcementGateway:
                 f"{self.name} admission queue full "
                 f"({self.queue_size} requests pending); retry later"
             ) from None
-        self.metrics.counter("requests_submitted").inc()
-        self.metrics.gauge("queue_depth").set(self._queue.qsize())
+        self.metrics.bump("requests_submitted")
         return pending
 
     def execute(
@@ -411,6 +405,36 @@ class EnforcementGateway:
             p.result() if isinstance(p, PendingQuery) else p for p in pendings
         ]
 
+    # -- explain ---------------------------------------------------------
+
+    def explain(
+        self,
+        user: Optional[str],
+        mode: str,
+        params: Mapping[str, object],
+        sql: Union[str, ast.QueryExpr],
+    ) -> "ExplainReport":
+        """The validity decision on ``sql`` for this session, traced
+        back to its views (and ReBAC tuple chains), without executing.
+
+        The check runs like a query's: under the read lock, so DML
+        cannot move the data its C3 probes read, and with the gateway's
+        default deadline, past which it raises
+        :class:`~repro.errors.QueryTimeout`.  It runs on the caller's
+        thread and takes no admission slot.
+        """
+        # imported here: the ReBAC package stays out of a server that
+        # never explains
+        from repro.rebac.trace import explain_query
+
+        session = self.db.connect(user, mode, **params).session
+        ctx = QueryContext(deadline=self.default_deadline, clock=self.clock)
+        self._rwlock.acquire_read()
+        try:
+            return explain_query(self.db, sql, session, ctx)
+        finally:
+            self._rwlock.release_read()
+
     # -- shutdown --------------------------------------------------------
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
@@ -430,23 +454,16 @@ class EnforcementGateway:
                 except queue.Empty:
                     break
                 if item is not _SENTINEL:
-                    pending, request, _ = item
-                    self.metrics.counter("requests_cancelled").inc()
-                    self.audit.record(
-                        user=request.user,
-                        mode=request.mode,
-                        signature=request.sql,
-                        status=RequestStatus.CANCELLED.value,
+                    pending, request, submitted_at = item
+                    waited = time.perf_counter() - submitted_at
+                    response = QueryResponse(
+                        request=request,
+                        status=RequestStatus.CANCELLED,
                         error="gateway shut down before execution",
-                        tag=request.tag,
+                        timing=Timing(queue_s=waited, total_s=waited),
                     )
-                    pending._resolve(
-                        QueryResponse(
-                            request=request,
-                            status=RequestStatus.CANCELLED,
-                            error="gateway shut down before execution",
-                        )
-                    )
+                    self._account(response)
+                    pending._resolve(response)
                 self._queue.task_done()
         for _ in self._workers:
             self._queue.put(_SENTINEL)
@@ -476,12 +493,11 @@ class EnforcementGateway:
                 self._queue.task_done()
                 return
             pending, request, submitted_at = item
-            self.metrics.gauge("queue_depth").set(self._queue.qsize())
-            self.metrics.gauge("workers_busy").inc()
+            self.metrics.bump("workers_busy")
             try:
                 response = self._process(request, submitted_at, pending.ctx)
             except BaseException as exc:  # never let a worker die
-                self.metrics.counter("worker_faults").inc()
+                self.metrics.bump("worker_faults")
                 response = QueryResponse(
                     request=request,
                     status=RequestStatus.ERROR,
@@ -490,11 +506,10 @@ class EnforcementGateway:
                 # _process accounts in its finish(); a fault that
                 # escaped it has not been audited yet — audit exactly
                 # once here so no request ever goes missing
-                if not getattr(response, "_accounted", False):
-                    response.timing.total_s = time.perf_counter() - submitted_at
-                    self._account(response)
+                response.timing.total_s = time.perf_counter() - submitted_at
+                self._account(response)
             finally:
-                self.metrics.gauge("workers_busy").dec()
+                self.metrics.bump("workers_busy", -1)
                 self._queue.task_done()
             pending._resolve(response)
 
@@ -611,7 +626,7 @@ class EnforcementGateway:
                 )
                 break
             except TransientFault as exc:
-                self.metrics.counter("retries_total").inc()
+                self.metrics.bump("retries_total")
                 if attempts >= self.retry_attempts or ctx.cancelled or ctx.expired:
                     response = QueryResponse(
                         request=request,
@@ -640,7 +655,7 @@ class EnforcementGateway:
                 )
                 break
             except QueryCancelled as exc:
-                self.metrics.counter("requests_cancelled_inflight").inc()
+                self.metrics.bump("requests_cancelled_inflight")
                 response = QueryResponse(
                     request=request,
                     status=RequestStatus.CANCELLED,
@@ -648,13 +663,13 @@ class EnforcementGateway:
                 )
                 break
             except ResourceBudgetExceeded as exc:
-                self.metrics.counter("requests_budget_exceeded").inc()
+                self.metrics.bump("requests_budget_exceeded")
                 response = QueryResponse(
                     request=request, status=RequestStatus.ERROR, error=str(exc)
                 )
                 break
         if attempts:
-            self.metrics.counter("requests_retried").inc()
+            self.metrics.bump("requests_retried")
         response.retries = attempts
         return response
 
@@ -676,7 +691,7 @@ class EnforcementGateway:
         (typed :class:`ServiceDegraded` error); in half-open state one
         probe write is admitted to test recovery.
         """
-        self.metrics.counter("dml_requests").inc()
+        self.metrics.bump("dml_requests")
         durable = self.db.durability is not None
         if durable and not self._breaker.allow():
             return QueryResponse(
@@ -697,10 +712,10 @@ class EnforcementGateway:
         try:
             self._rwlock.acquire_write()
             try:
-                with self.pool.checkout(
-                    request.user, request.mode, request.params
-                ) as conn:
-                    outcome = conn.execute(statement, sync=False)
+                conn = self.db.connect(
+                    request.user, request.mode, **request.params
+                )
+                outcome = conn.execute(statement, sync=False)
             except (QueryRejectedError, UpdateRejectedError) as exc:
                 failure = QueryResponse(
                     request=request, status=RequestStatus.REJECTED, error=str(exc)
@@ -723,7 +738,7 @@ class EnforcementGateway:
                 except (DurabilityError, OSError, TransientFault) as exc:
                     self._breaker.record_failure()
                     breaker_resolved = True
-                    self.metrics.counter("wal_commit_failures").inc()
+                    self.metrics.bump("wal_commit_failures")
                     return QueryResponse(
                         request=request,
                         status=RequestStatus.DEGRADED,
@@ -767,37 +782,37 @@ class EnforcementGateway:
         ``(skeleton, literals, signature_text)`` triple when the request
         is eligible for a prepared template.
         """
+        session = self.db.connect(
+            request.user, request.mode, **request.params
+        ).session
         self._rwlock.acquire_read()
         try:
-            with self.pool.checkout(
-                request.user, request.mode, request.params
-            ) as conn:
-                replica = self._route_replica(request)
-                if replica is not None:
-                    try:
-                        # Applies and reads exclude each other through
-                        # the replica's lock, so a read never observes a
-                        # half-applied shipped batch.  The queue hop
-                        # between routing and this lock is a window the
-                        # failure detector may have used to quarantine
-                        # the replica: re-check under the lock, where
-                        # the database handle is also read (catch-up
-                        # bootstrap swaps it wholesale).
-                        with replica.read_lock():
-                            self.db.verify_replica_serving(replica)
-                            self.metrics.counter("replica_reads").inc()
-                            return self._serve(
-                                request, replica.database, conn.session,
-                                query, resolved, timing, ctx, replica,
-                            )
-                    except ReplicaUnavailable:
-                        # quarantined (or behind the epoch/lag gate)
-                        # since routing: the primary serves it — a
-                        # correct answer, just not replica-served
-                        self.metrics.counter("replica_fallbacks").inc()
-                return self._serve(
-                    request, self.db, conn.session, query, resolved, timing, ctx
-                )
+            replica = self._route_replica(request)
+            if replica is not None:
+                try:
+                    # Applies and reads exclude each other through the
+                    # replica's lock, so a read never observes a
+                    # half-applied shipped batch.  The queue hop between
+                    # routing and this lock is a window the failure
+                    # detector may have used to quarantine the replica:
+                    # re-check under the lock, where the database handle
+                    # is also read (catch-up bootstrap swaps it
+                    # wholesale).
+                    with replica.read_lock():
+                        self.db.verify_replica_serving(replica)
+                        self.metrics.bump("replica_reads")
+                        return self._serve(
+                            request, replica.database, session,
+                            query, resolved, timing, ctx, replica,
+                        )
+                except ReplicaUnavailable:
+                    # quarantined (or behind the epoch/lag gate) since
+                    # routing: the primary serves it — a correct answer,
+                    # just not replica-served
+                    self.metrics.bump("replica_fallbacks")
+            return self._serve(
+                request, self.db, session, query, resolved, timing, ctx
+            )
         finally:
             self._rwlock.release_read()
 
@@ -864,7 +879,7 @@ class EnforcementGateway:
                             db, resolved[0], resolved[1], session, mode, resolved[2]
                         )
                     except PreparedFallback:
-                        self.metrics.counter("prepared_fallbacks").inc()
+                        self.metrics.bump("prepared_fallbacks")
                 self._fire_chaos("gateway.before_check")
                 if hit:
                     self._fire_chaos("prepared.hit")
@@ -925,7 +940,7 @@ class EnforcementGateway:
             response.error = str(exc)
         if template is not None:
             response.prepared = True
-            self.metrics.counter("prepared_requests").inc()
+            self.metrics.bump("prepared_requests")
         return response
 
     # -- accounting ------------------------------------------------------
@@ -940,19 +955,21 @@ class EnforcementGateway:
     }
 
     def _account(self, response: QueryResponse) -> None:
+        """Count and audit one terminal response — every admitted
+        request passes here exactly once."""
         request = response.request
-        response._accounted = True
-        self.metrics.counter("requests_completed").inc()
-        self.metrics.counter(self._STATUS_COUNTERS[response.status]).inc()
+        metrics = self.metrics
+        metrics.bump("requests_completed")
+        metrics.bump(self._STATUS_COUNTERS[response.status])
         if response.cache_hit:
-            self.metrics.counter("decision_cache_hits").inc()
+            metrics.bump("decision_cache_hits")
         timing = response.timing
-        self.metrics.histogram("latency_ms").observe(timing.total_s * 1000)
-        self.metrics.histogram("queue_ms").observe(timing.queue_s * 1000)
+        metrics.observe("latency_ms", timing.total_s * 1000)
+        metrics.observe("queue_ms", timing.queue_s * 1000)
         if timing.check_s:
-            self.metrics.histogram("check_ms").observe(timing.check_s * 1000)
+            metrics.observe("check_ms", timing.check_s * 1000)
         if timing.execute_s:
-            self.metrics.histogram("execute_ms").observe(timing.execute_s * 1000)
+            metrics.observe("execute_ms", timing.execute_s * 1000)
 
         decision = response.decision
         self.audit.record(
@@ -985,17 +1002,17 @@ class EnforcementGateway:
         return self._breaker.state != "closed"
 
     def stats(self) -> dict[str, object]:
-        """One merged snapshot: gateway, metrics, cache, pool, breaker."""
+        """One merged snapshot: gateway, metrics, cache, breaker."""
         merged: dict[str, object] = {
             "workers": len(self._workers),
             "queue_capacity": self.queue_size,
+            "queue_depth": self._queue.qsize(),
             "accepting": self.accepting,
             "default_deadline_s": self.default_deadline,
         }
-        merged.update(self.metrics.snapshot())
+        merged.update(self.metrics.report())
         merged.update(self.cache.stats())
         merged.update(self.db.prepared.stats())
-        merged.update(self.pool.stats())
         merged.update(self._breaker.stats())
         # global policy / data version counters.  The caches stamp
         # entries per user (db.prepared.stamp) from the same sources;

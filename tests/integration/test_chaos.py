@@ -16,6 +16,8 @@ the end-to-end resilience contract:
   half-open probe recovers automatically.
 """
 
+import asyncio
+import collections
 import threading
 import time
 
@@ -25,6 +27,7 @@ from repro.db import Database
 from repro.errors import (
     PendingTimeout,
     QueryRejectedError,
+    QueryTimeout,
     ReproError,
     ServiceOverloaded,
 )
@@ -64,6 +67,24 @@ def install_university(db: Database) -> None:
     )
     db.grant_public("MyGrades")
     db.grant_public("MyRegistrations")
+
+
+def assert_reconciled(gateway: EnforcementGateway) -> None:
+    """The gateway's counters and its audit log agree exactly."""
+    records = gateway.audit.tail(gateway.audit.total_recorded)
+    assert len(records) == gateway.audit.total_recorded, "audit ring wrapped"
+    metrics = gateway.metrics
+    audited = collections.Counter(record.status for record in records)
+    statuses = {status.value for status in TERMINAL} | {"overloaded"}
+    assert set(audited) <= statuses, audited
+    for status in statuses:
+        assert metrics.get(f"requests_{status}") == audited[status], status
+    completed = metrics.get("requests_completed")
+    assert completed + metrics.get("requests_overloaded") == len(records)
+    assert gateway.stats().get("latency_ms_count", 0) == completed
+    assert metrics.get("decision_cache_hits") == sum(
+        record.cache_hit for record in records
+    )
 
 
 def serial_outcome(db: Database, request: QueryRequest):
@@ -270,8 +291,9 @@ class TestChaosSweep:
         }
         assert len(seen) == len(requests)
         assert (
-            gateway.metrics.counter("requests_overloaded").value == overloaded
+            gateway.metrics.get("requests_overloaded") == overloaded
         )
+        assert_reconciled(gateway)
 
     def test_sweep_is_reproducible(self):
         import random
@@ -334,7 +356,7 @@ class TestMidScanCancellation:
                              engine=engine)
             )
             deadline = time.time() + 10
-            while gateway.metrics.gauge("workers_busy").value < 1:
+            while gateway.metrics.get("workers_busy") < 1:
                 assert time.time() < deadline, "worker never picked it up"
                 time.sleep(0.001)
             time.sleep(0.05)  # let it get deep into the join
@@ -343,7 +365,7 @@ class TestMidScanCancellation:
             assert response.status is RequestStatus.CANCELLED
             assert response.result is None
             assert (
-                gateway.metrics.counter("requests_cancelled_inflight").value
+                gateway.metrics.get("requests_cancelled_inflight")
                 >= 1
             )
         finally:
@@ -359,7 +381,7 @@ class TestMidScanCancellation:
             assert response.status is RequestStatus.ERROR
             assert "row budget" in response.error
             assert (
-                gateway.metrics.counter("requests_budget_exceeded").value == 1
+                gateway.metrics.get("requests_budget_exceeded") == 1
             )
         finally:
             gateway.shutdown(drain=False)
@@ -444,7 +466,7 @@ class TestPathologicalInference:
                 QueryRequest(user="11", sql=PATHOLOGICAL_SQL, deadline=1.5)
             )
             deadline = time.time() + 10
-            while gateway.metrics.gauge("workers_busy").value < 1:
+            while gateway.metrics.get("workers_busy") < 1:
                 assert time.time() < deadline
                 time.sleep(0.001)
             # healthy traffic on the remaining workers while the poison
@@ -460,6 +482,34 @@ class TestPathologicalInference:
             assert served >= 3, "healthy sessions starved by poison query"
             assert poison.result(timeout=1).status is RequestStatus.TIMEOUT
         finally:
+            gateway.shutdown(drain=False)
+
+    def test_wire_explain_dies_at_gateway_deadline(self):
+        """``explain`` takes its decision in the gateway: the check that
+        kills a query at its deadline kills an explain at the gateway's
+        default deadline, answered as a ``timeout`` error."""
+        from repro.net import AsyncReproClient, NetworkService
+
+        gateway = EnforcementGateway(
+            build_pathological_db(), workers=1, default_deadline=0.4
+        )
+        network = NetworkService(gateway)
+        host, port = network.start()
+
+        async def scenario():
+            client = await AsyncReproClient.connect(host, port, user="11")
+            try:
+                with pytest.raises(QueryTimeout, match="deadline"):
+                    await asyncio.wait_for(
+                        client.explain(PATHOLOGICAL_SQL), timeout=10.0
+                    )
+            finally:
+                await client.close()
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            network.stop()
             gateway.shutdown(drain=False)
 
 
@@ -516,7 +566,7 @@ class TestBreakerDegradedMode:
             stats = gateway.stats()
             assert stats["breaker_state"] == "open"
             assert stats["breaker_trips"] == 1
-            assert gateway.metrics.counter("requests_degraded").value >= 3
+            assert gateway.metrics.get("requests_degraded") >= 3
         finally:
             gateway.shutdown(drain=False)
 
@@ -543,9 +593,9 @@ class TestBreakerDegradedMode:
             assert not gateway.degraded
             stats = gateway.stats()
             assert stats["breaker_recoveries"] == 1
-            # the state metric tracked the full closed→open→half-open→closed arc
+            # the breaker counted the full closed→open→half-open→closed arc
             assert stats["breaker_state"] == "closed"
-            assert stats["breaker_state_transitions"] >= 3
+            assert stats["breaker_transitions"] >= 3
 
             follow_up = gateway.execute(
                 QueryRequest(user=None, mode="open",
@@ -571,8 +621,8 @@ class TestRetries:
             )
             assert response.ok, response.error
             assert response.retries == 1
-            assert gateway.metrics.counter("requests_retried").value == 1
-            assert gateway.metrics.counter("retries_total").value >= 1
+            assert gateway.metrics.get("requests_retried") == 1
+            assert gateway.metrics.get("retries_total") >= 1
         finally:
             gateway.shutdown(drain=False)
 
@@ -609,7 +659,7 @@ class TestWorkerCrashAccounting:
             )
             assert crashed.status is RequestStatus.ERROR
             assert "internal gateway error" in crashed.error
-            assert gateway.metrics.counter("worker_faults").value == 1
+            assert gateway.metrics.get("worker_faults") == 1
             # audited exactly once despite the crash
             records = [
                 r for r in gateway.audit.tail(100) if r.tag == "crash-1"
@@ -690,6 +740,46 @@ class TestOverloadProperty:
                 audited[record.tag] = audited.get(record.tag, 0) + 1
         assert set(audited) == set(outcomes)
         assert all(count == 1 for count in audited.values())
+        assert_reconciled(gateway)
+
+    def test_hard_shutdown_accounts_cancelled_requests(self):
+        """Requests ``shutdown(drain=False)`` cancels in the queue are
+        counted and audited like every other terminal response."""
+        db = Database()
+        install_university(db)
+        gateway = EnforcementGateway(db, workers=1, queue_size=8)
+        # hold the read lock so a DML request pins the only worker in
+        # acquire_write while the reads stay queued behind it
+        gateway._rwlock.acquire_read()
+        try:
+            blocker = gateway.submit(
+                QueryRequest(user=None, mode="open",
+                             sql="insert into Courses values ('CS998', 'X')")
+            )
+            deadline = time.time() + 10
+            while gateway.metrics.get("workers_busy") < 1:
+                assert time.time() < deadline, "worker never became busy"
+                time.sleep(0.001)
+            queued = [
+                gateway.submit(QueryRequest(user="11", sql="select * from MyGrades"))
+                for _ in range(5)
+            ]
+            stopper = threading.Thread(
+                target=gateway.shutdown, kwargs={"drain": False}
+            )
+            stopper.start()
+            for pending in queued:
+                response = pending.result(timeout=REAP_TIMEOUT_S)
+                assert response.status is RequestStatus.CANCELLED
+        finally:
+            gateway._rwlock.release_read()
+        stopper.join(timeout=REAP_TIMEOUT_S)
+        assert not stopper.is_alive()
+        assert blocker.result(timeout=REAP_TIMEOUT_S).ok
+        assert gateway.metrics.get("requests_submitted") == 6
+        assert gateway.metrics.get("requests_completed") == 6
+        assert gateway.metrics.get("requests_cancelled") == 5
+        assert_reconciled(gateway)
 
 
 class TestPendingHandleContract:
@@ -759,7 +849,7 @@ class TestResilienceMetrics:
                 "requests_budget_exceeded",
                 "worker_faults",
                 "breaker_state",
-                "breaker_state_transitions",
+                "breaker_transitions",
                 "breaker_trips",
                 "breaker_recoveries",
                 "default_deadline_s",
@@ -849,7 +939,7 @@ class TestPreparedChaosStorm:
         assert not churner.is_alive()
 
         # the storm actually exercised the prepared path and its faults
-        assert gateway.metrics.counter("prepared_requests").value > 0
+        assert gateway.metrics.get("prepared_requests") > 0
         assert "prepared.bind:delay" in chaos.stats(), chaos.stats()
         assert "prepared.hit:transient" in chaos.stats(), chaos.stats()
 
@@ -957,7 +1047,7 @@ class TestPreparedChaosStorm:
             churning.clear()
             gateway.shutdown(drain=False)
 
-        assert gateway.metrics.counter("prepared_requests").value > 0
+        assert gateway.metrics.get("prepared_requests") > 0
         for response in storm:
             assert response.status is RequestStatus.OK, response.error
             assert len(response.rows) == 1 and response.rows[0] in legal
@@ -1110,10 +1200,10 @@ class TestNetworkChaos:
             # quiesce: sessions unwind, nothing is left open or in flight
             deadline = time.time() + 10
             while time.time() < deadline:
-                if gateway.metrics.gauge("connections_open").value == 0:
+                if gateway.metrics.get("connections_open") == 0:
                     break
                 time.sleep(0.02)
-            assert gateway.metrics.gauge("connections_open").value == 0
+            assert gateway.metrics.get("connections_open") == 0
             with ReproClient(host, port, user="11") as client:
                 assert sorted(client.query(sql).rows) == expected
         finally:

@@ -196,7 +196,7 @@ class TestHandshake:
             assert conn.recv()["type"] == "stats"
         finally:
             conn.close()
-        assert gateway.metrics.counter("net_protocol_errors").value == 1
+        assert gateway.metrics.get("net_protocol_errors") == 1
 
     def test_rehello_switches_user(self, service):
         """The session layer maps the connection to the gateway user:
@@ -320,7 +320,7 @@ class TestDeadlinesAndCancellation:
         try:
             asyncio.run(scenario())
             assert (
-                gateway.metrics.counter("requests_cancelled_inflight").value == 1
+                gateway.metrics.get("requests_cancelled_inflight") == 1
             )
         finally:
             network.stop()
@@ -409,7 +409,7 @@ class TestStreaming:
                     conn.recv()
             finally:
                 conn.close()
-            assert gateway.metrics.counter("net_protocol_errors").value == 1
+            assert gateway.metrics.get("net_protocol_errors") == 1
         finally:
             network.stop()
             gateway.shutdown(drain=False)
@@ -442,18 +442,18 @@ class TestNetworkMetrics:
 
     def test_connections_open_gauge(self, service):
         gateway, host, port = service
-        assert gateway.metrics.gauge("connections_open").value == 0
+        assert gateway.metrics.get("connections_open") == 0
         client = ReproClient(host, port)
         try:
-            assert gateway.metrics.gauge("connections_open").value == 1
+            assert gateway.metrics.get("connections_open") == 1
         finally:
             client.close()
         deadline = time.time() + 10
         while time.time() < deadline:
-            if gateway.metrics.gauge("connections_open").value == 0:
+            if gateway.metrics.get("connections_open") == 0:
                 break
             time.sleep(0.01)
-        assert gateway.metrics.gauge("connections_open").value == 0
+        assert gateway.metrics.get("connections_open") == 0
 
     def test_render_stats_shows_network_instruments(self, service):
         """The \\stats meta-command body includes the wire counters."""
@@ -493,9 +493,9 @@ class TestCancellationOnDisconnect:
                 time.sleep(0.02)
             assert len(records) == 1, "exactly-once audit for dropped client"
             assert records[0].status == "cancelled"
-            assert gateway.metrics.counter("disconnect_cancels").value == 1
+            assert gateway.metrics.get("disconnect_cancels") == 1
             assert (
-                gateway.metrics.counter("requests_cancelled_inflight").value == 1
+                gateway.metrics.get("requests_cancelled_inflight") == 1
             )
 
             # no partial state: the worker is free and correct afterwards
@@ -513,10 +513,10 @@ class TestCancellationOnDisconnect:
         client.drop()
         deadline = time.time() + 10
         while time.time() < deadline:
-            if gateway.metrics.gauge("connections_open").value == 0:
+            if gateway.metrics.get("connections_open") == 0:
                 break
             time.sleep(0.01)
-        assert gateway.metrics.counter("disconnect_cancels").value == 0
+        assert gateway.metrics.get("disconnect_cancels") == 0
 
     def test_multiple_inflight_all_cancelled_on_drop(self):
         db = join_db()
@@ -545,7 +545,7 @@ class TestCancellationOnDisconnect:
                 time.sleep(0.02)
             assert len(records) == 2
             assert all(r.status == "cancelled" for r in records)
-            assert gateway.metrics.counter("disconnect_cancels").value == 2
+            assert gateway.metrics.get("disconnect_cancels") == 2
         finally:
             network.stop()
             gateway.shutdown(drain=False)
@@ -620,9 +620,9 @@ class TestPreparedWire:
             hot = stmt.execute("11")
             assert sorted(cold.rows) == sorted(hot.rows)
             assert sorted(r[0] for r in hot.rows) == [3.5, 4.0]
-        assert gateway.metrics.counter("net_prepares").value == 1
-        assert gateway.metrics.counter("net_executes").value == 2
-        assert gateway.metrics.counter("prepared_requests").value >= 1
+        assert gateway.metrics.get("net_prepares") == 1
+        assert gateway.metrics.get("net_executes") == 2
+        assert gateway.metrics.get("prepared_requests") >= 1
 
     def test_rebinding_foreign_literal_is_rejected(self, service):
         """Rebinding the user-id literal to someone else's id must be

@@ -1,12 +1,10 @@
-"""Unit tests for the WAL circuit breaker, the chaos injector, and the
-State metric instrument."""
+"""Unit tests for the WAL circuit breaker and the chaos injector."""
 
 import pytest
 
 from repro.errors import TransientFault
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.service.chaos import ChaosInjector
-from repro.service.metrics import MetricsRegistry
 
 
 class FakeClock:
@@ -23,32 +21,28 @@ class FakeClock:
 class TestCircuitBreaker:
     def make(self, threshold=3, cooldown=10.0):
         clock = FakeClock()
-        transitions = []
         breaker = CircuitBreaker(
-            failure_threshold=threshold,
-            cooldown=cooldown,
-            on_transition=lambda old, new: transitions.append((old, new)),
-            clock=clock,
+            failure_threshold=threshold, cooldown=cooldown, clock=clock
         )
-        return breaker, clock, transitions
+        return breaker, clock
 
     def test_starts_closed_and_allows(self):
-        breaker, _, _ = self.make()
+        breaker, _ = self.make()
         assert breaker.state == CLOSED
         assert breaker.allow()
 
     def test_trips_after_consecutive_failures(self):
-        breaker, _, transitions = self.make(threshold=3)
+        breaker, _ = self.make(threshold=3)
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == CLOSED
         breaker.record_failure()
         assert breaker.state == OPEN
         assert breaker.trips == 1
-        assert transitions == [(CLOSED, OPEN)]
+        assert breaker.transitions == 1
 
     def test_success_resets_failure_streak(self):
-        breaker, _, _ = self.make(threshold=3)
+        breaker, _ = self.make(threshold=3)
         breaker.record_failure()
         breaker.record_failure()
         breaker.record_success()
@@ -57,7 +51,7 @@ class TestCircuitBreaker:
         assert breaker.state == CLOSED
 
     def test_open_rejects_until_cooldown(self):
-        breaker, clock, _ = self.make(threshold=1, cooldown=10.0)
+        breaker, clock = self.make(threshold=1, cooldown=10.0)
         breaker.record_failure()
         assert breaker.state == OPEN
         assert not breaker.allow()
@@ -68,24 +62,26 @@ class TestCircuitBreaker:
         assert breaker.state == HALF_OPEN
 
     def test_half_open_admits_single_probe(self):
-        breaker, clock, _ = self.make(threshold=1, cooldown=1.0)
+        breaker, clock = self.make(threshold=1, cooldown=1.0)
         breaker.record_failure()
         clock.advance(1.1)
         assert breaker.allow()
         assert not breaker.allow()  # second caller waits for the probe
 
     def test_probe_success_closes(self):
-        breaker, clock, transitions = self.make(threshold=1, cooldown=1.0)
+        breaker, clock = self.make(threshold=1, cooldown=1.0)
         breaker.record_failure()
+        assert breaker.state == OPEN
         clock.advance(1.1)
         assert breaker.allow()
+        assert breaker.state == HALF_OPEN
         breaker.record_success()
         assert breaker.state == CLOSED
         assert breaker.recoveries == 1
-        assert transitions == [(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED)]
+        assert breaker.stats()["breaker_transitions"] == 3
 
     def test_probe_failure_reopens_and_restarts_cooldown(self):
-        breaker, clock, _ = self.make(threshold=1, cooldown=10.0)
+        breaker, clock = self.make(threshold=1, cooldown=10.0)
         breaker.record_failure()
         clock.advance(10.1)
         assert breaker.allow()
@@ -101,7 +97,7 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
 
     def test_stats(self):
-        breaker, _, _ = self.make(threshold=1)
+        breaker, _ = self.make(threshold=1)
         breaker.record_failure()
         stats = breaker.stats()
         assert stats["breaker_state"] == OPEN
@@ -173,27 +169,3 @@ class TestChaosInjector:
         chaos.clear()
         chaos.fire("p")  # no raise
 
-
-class TestStateMetric:
-    def test_state_value_and_transitions(self):
-        registry = MetricsRegistry()
-        state = registry.state("breaker_state", initial="closed")
-        assert state.value == "closed"
-        assert state.transitions == 0
-        state.set("open")
-        state.set("open")  # no-op: same value
-        state.set("half-open")
-        assert state.value == "half-open"
-        assert state.transitions == 2
-
-    def test_snapshot_includes_states(self):
-        registry = MetricsRegistry()
-        registry.state("breaker_state", initial="closed").set("open")
-        snap = registry.snapshot()
-        assert snap["breaker_state"] == "open"
-        assert snap["breaker_state_transitions"] == 1
-
-    def test_state_shared_by_name(self):
-        registry = MetricsRegistry()
-        registry.state("s").set("a")
-        assert registry.state("s").value == "a"

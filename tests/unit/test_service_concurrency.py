@@ -8,6 +8,7 @@ up as ``RuntimeError: dictionary changed size during iteration``,
 silently lost grants, or caches growing past their LRU limit.
 """
 
+import sys
 import threading
 
 import pytest
@@ -16,7 +17,7 @@ from repro.sql import parse_query
 from repro.authviews.registry import GrantRegistry
 from repro.nontruman.cache import ValidityCache, query_signature
 from repro.nontruman.decision import Validity
-from repro.service.metrics import MetricsRegistry
+from repro.instrument import Metrics
 
 THREADS = 8
 OPS = 150
@@ -282,16 +283,24 @@ class TestPreparedCacheRaces:
 
 
 class TestMetricsRaces:
-    def test_counters_and_histograms_exact_under_concurrency(self):
-        registry = MetricsRegistry()
+    def test_counts_and_distributions_exact_under_concurrency(self):
+        metrics = Metrics()
 
         def worker(index):
             for i in range(OPS):
-                registry.counter("requests").inc()
-                registry.histogram("latency_ms").observe(float(i))
-                registry.gauge("depth").set(i)
+                metrics.bump("requests")
+                metrics.bump("busy")
+                metrics.observe("latency_ms", float(i))
+                metrics.bump("busy", -1)
 
-        hammer(worker)
-        assert registry.counter("requests").value == THREADS * OPS
-        assert registry.histogram("latency_ms").count == THREADS * OPS
-        assert registry.histogram("latency_ms").percentile(50) >= 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid read-modify-write
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        report = metrics.report()
+        assert report["requests"] == THREADS * OPS
+        assert report["busy"] == 0
+        assert report["latency_ms_count"] == THREADS * OPS
+        assert report["latency_ms_mean"] == (OPS - 1) / 2
