@@ -25,6 +25,7 @@ from repro.service import ChaosInjector, EnforcementGateway, QueryRequest, Reque
 from repro.bench import Experiment
 
 from benchmarks.conftest import register_experiment
+from tests.conftest import build_big_join_db
 from tests.integration.test_chaos import (
     BIG_JOIN_SQL,
     PATHOLOGICAL_SQL,
@@ -46,21 +47,11 @@ SWEEP_REQUESTS = 200
 DEADLINE_S = 0.15
 
 
-def build_join_db(rows: int = 700) -> Database:
-    db = Database()
-    db.execute("create table L(a int primary key)")
-    db.execute("create table R(b int primary key)")
-    values = ", ".join(f"({i})" for i in range(rows))
-    db.execute(f"insert into L values {values}")
-    db.execute(f"insert into R values {values}")
-    return db
-
-
 def test_cancellation_latency_mid_scan():
-    """Gate: a deadline kills the 490k-pair join soon after expiring —
+    """Gate: a deadline kills the 9.8M-pair join soon after expiring —
     the overshoot (extra time past the deadline) must be a small
     fraction of the uncancelled runtime."""
-    db = build_join_db()
+    db = build_big_join_db()
     gateway = EnforcementGateway(db, workers=1)
     try:
         # uncancelled baseline per engine

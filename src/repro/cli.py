@@ -246,8 +246,9 @@ class Shell:
             self.write("usage: \\check <select ...>")
             return
         try:
-            decision = self.db.check_validity(
-                sql.rstrip(";"), session=self.conn.session
+            # in the gateway, under its lock and deadline like a query
+            decision = self.gateway().check(
+                self.user, self.mode, self.session_params(), sql.rstrip(";")
             )
         except ReproError as exc:
             self.write(f"error: {exc}")

@@ -50,6 +50,7 @@ from repro.authviews.session import SessionContext
 from repro.db import Database, Result
 from repro.engine import ENGINES, Evaluator, RowResolver
 from repro.instrument import COUNTERS
+from repro.optimizer.pushdown import annotate_scan
 from repro.service.clock import Clock
 from repro.storage.table import Table
 from repro.cluster.health import (
@@ -654,7 +655,7 @@ class ClusterCoordinator(Database):
 
             plan = push_selections(plan)
         scattered = self._scatter_aggregate(
-            plan, session, access_params, engine, ctx, compile_cache
+            plan, session, access_params, ctx, compile_cache
         )
         if scattered is not None:
             return scattered
@@ -669,13 +670,14 @@ class ClusterCoordinator(Database):
         )
 
     def _scatter_aggregate(
-        self, plan, session, access_params, engine, ctx, compile_cache
+        self, plan, session, access_params, ctx, compile_cache
     ) -> Optional[Result]:
         """Per-shard partial aggregation with a coordinator merge.
 
         Handles plans of shape ``[Project/Alias]* → Aggregate(scalar,
         decomposable) → fragment-safe subtree over one partitioned
-        relation``; returns None (→ merged-facade fallback) otherwise.
+        relation`` whose rows no index probe selects; returns None
+        (→ merged-facade fallback) otherwise.
         """
         wrappers = []
         node = plan
@@ -696,10 +698,14 @@ class ClusterCoordinator(Database):
             return None
         if not exact_merge_aggregates(node, leaf, table.schema):
             return None
+        if _index_probed(node.child, leaf, table):
+            # the facade's index probe reads only the matching rows,
+            # once; every node would pay a full fold set-up for a few
+            return None
 
         per_node = [
             storage_node.partial_aggregate(
-                self, node, session, access_params, engine, ctx, compile_cache
+                self, node, session, access_params, ctx, compile_cache
             )
             for storage_node in self.nodes
         ]
@@ -721,3 +727,18 @@ class ClusterCoordinator(Database):
             )
             columns = wrapper.columns
         return Result(tuple(c.name for c in plan.columns), [row])
+
+
+def _index_probed(subtree: ops.Operator, leaf: ops.Rel, table) -> bool:
+    """True when ``subtree`` selects from ``leaf`` through an index
+    probe, as the executor's scan chooses one."""
+    while isinstance(subtree, (ops.Project, ops.Alias)):
+        subtree = subtree.child
+    if not (isinstance(subtree, ops.Select) and subtree.child is leaf):
+        return False
+    annotation = annotate_scan(
+        leaf,
+        subtree.predicate,
+        lambda _, columns: table.find_index(columns) is not None,
+    )
+    return annotation.probe is not None

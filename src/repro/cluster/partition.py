@@ -30,7 +30,7 @@ Invariants that make the cluster byte-identical to a single node:
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.errors import ExecutionError, IntegrityError, ReproError
 from repro.catalog.schema import TableSchema
@@ -68,7 +68,9 @@ class ShardFragment:
 
     What the executors need from a pruned scan: rows (ordered like the
     single-node table so answers stay byte-identical), the shard's hash
-    indexes for probe pushdown, and point row access.
+    indexes for probe pushdown, and point row access.  The shard's
+    ``Table`` holds the global row ids and reads in id order, so the
+    fragment needs no sort of its own.
     """
 
     def __init__(self, table: Table):
@@ -76,10 +78,10 @@ class ShardFragment:
         self.schema = table.schema
 
     def rows(self) -> list[tuple]:
-        return [row for _, row in sorted(self._table.rows_with_ids())]
+        return self._table.rows()
 
     def rows_with_ids(self) -> list[tuple[int, tuple]]:
-        return sorted(self._table.rows_with_ids())
+        return self._table.rows_with_ids()
 
     def get_row(self, row_id: int) -> tuple:
         return self._table.get_row(row_id)
@@ -186,7 +188,14 @@ class PartitionedTable:
     # -- index management -------------------------------------------------
 
     def create_index(self, columns: Iterable[str], unique: bool = False) -> PartitionedIndex:
+        """Index ``columns`` on every shard; an index on exactly these
+        columns with the same uniqueness is returned as it is, and
+        nothing is logged."""
         names = tuple(columns)
+        if self.has_index(names, unique):
+            return PartitionedIndex(
+                [shard.create_index(names, unique=unique) for shard in self._shards]
+            )
         if unique and not self._covers_partition_key(names):
             # per-shard builds cannot see cross-shard duplicates; check
             # globally first with the storage layer's error message
@@ -233,19 +242,15 @@ class PartitionedTable:
 
     # -- row access -------------------------------------------------------
 
-    def rows(self) -> Iterator[tuple]:
-        merged: list[tuple[int, tuple]] = []
-        for shard in self._shards:
-            merged.extend(shard.rows_with_ids())
-        merged.sort()
-        return iter([row for _, row in merged])
+    def rows(self) -> list[tuple]:
+        return [row for _, row in self.rows_with_ids()]
 
-    def rows_with_ids(self) -> Iterator[tuple[int, tuple]]:
+    def rows_with_ids(self) -> list[tuple[int, tuple]]:
         merged: list[tuple[int, tuple]] = []
         for shard in self._shards:
             merged.extend(shard.rows_with_ids())
         merged.sort()
-        return iter(merged)
+        return merged
 
     def get_row(self, row_id: int) -> tuple:
         shard = self._rid_to_shard.get(row_id)

@@ -4,8 +4,9 @@ A :class:`StorageNode` owns one shard's :class:`~repro.storage.table.
 Table` fragment of every partitioned relation.  The coordinator plans a
 query once; for decomposable scalar aggregates it then *scatters* the
 aggregate's input subtree to every node, each node folds its fragment
-into per-aggregate accumulator states, and the coordinator *gathers*
-the partials into the final answer (`merge_partials`).
+into per-aggregate accumulator states a column batch at a time, and
+the coordinator *gathers* the partials into the final answer
+(`merge_partials`).
 
 Only aggregations whose merge is exact are decomposed:
 
@@ -28,8 +29,8 @@ from repro.sql import ast
 from repro.algebra import ops
 from repro.catalog.types import DataType
 from repro.db import _QueryContext
-from repro.engine import Evaluator, RowResolver, make_executor
-from repro.engine.aggregates import Accumulator, MinMax, make_accumulator
+from repro.engine import VectorizedExecutor
+from repro.engine.aggregates import Accumulator, MinMax
 
 #: aggregate functions with an exact distributed merge
 DECOMPOSABLE = {"count", "sum", "min", "max", "avg"}
@@ -138,49 +139,22 @@ class StorageNode:
     def add_table(self, name: str, table) -> None:
         self.tables[name.lower()] = table
 
-    def execute_fragment(
-        self,
-        db,
-        plan: ops.Operator,
-        session,
-        access_params: Optional[Mapping[str, object]] = None,
-        engine: str = "row",
-        ctx=None,
-        compile_cache=None,
-    ) -> list[tuple]:
-        """Run ``plan`` against this node's fragments."""
-        context = _ShardScanContext(db, session, access_params, self.ordinal)
-        executor = make_executor(engine, context, ctx=ctx, compile_cache=compile_cache)
-        self.fragments_executed += 1
-        return executor.execute(plan)
-
     def partial_aggregate(
         self,
         db,
         plan: ops.Aggregate,
         session,
         access_params: Optional[Mapping[str, object]] = None,
-        engine: str = "row",
         ctx=None,
         compile_cache=None,
     ) -> list[Accumulator]:
-        """Fold this shard's rows into one accumulator per aggregate."""
-        rows = self.execute_fragment(
-            db, plan.child, session, access_params, engine, ctx, compile_cache
-        )
-        evaluator = Evaluator(RowResolver(plan.child.columns))
-        accumulators = [
-            make_accumulator(call.name, call.distinct, _is_star(call))
-            for call, _ in plan.aggregates
-        ]
-        for row in rows:
-            if ctx is not None:
-                ctx.tick()
-            for (call, _), acc in zip(plan.aggregates, accumulators):
-                if _is_star(call):
-                    acc.add(1)
-                else:
-                    acc.add(evaluator.evaluate(call.args[0], row))
+        """Fold this shard's rows into one accumulator per aggregate,
+        a column batch at a time (``VectorizedExecutor.accumulate``);
+        every folded row is charged to ``ctx``."""
+        context = _ShardScanContext(db, session, access_params, self.ordinal)
+        executor = VectorizedExecutor(context, ctx=ctx, compile_cache=compile_cache)
+        self.fragments_executed += 1
+        [(_, accumulators)] = executor.accumulate(plan)
         return accumulators
 
 

@@ -223,8 +223,9 @@ class Database:
 
         self.statistics = TableStatistics(self)
         #: execution engine used when no per-query override is given:
-        #: "row" (tuple-at-a-time oracle) or "vectorized" (columnar)
-        self.default_engine = "row"
+        #: "vectorized" (columnar, index-using; the serving engine) or
+        #: "row" (tuple-at-a-time; the differential oracle)
+        self.default_engine = "vectorized"
         #: ReBAC subsystem (repro.rebac); set by attach_rebac
         self.rebac = None
         #: durability manager (repro.durability); None = in-memory
@@ -419,6 +420,11 @@ class Database:
             table.create_index(pk.columns, unique=True)
         for unique in self.catalog.uniques_for(schema.name):
             table.create_index(unique.columns, unique=True)
+        # FK columns are probed by joins, C3 probes, RESTRICT and
+        # participation checks; a key index already serves its columns
+        for fk in self.catalog.foreign_keys_for(schema.name):
+            if table.find_index(fk.columns) is None:
+                table.create_index(fk.columns)
         self._tables[schema.name.lower()] = table
         if self.durability is not None:
             self._log_ddl(statement)

@@ -62,9 +62,7 @@ def apply_record(db: "Database", record: dict) -> None:
             raise DurabilityError(f"unknown row operation {op!r} in WAL")
     elif kind == "index":
         table = db.table(record["table"])
-        columns = tuple(record["columns"])
-        if not table.has_index(columns, record["unique"]):
-            table.create_index(columns, unique=record["unique"])
+        table.create_index(tuple(record["columns"]), unique=record["unique"])
     elif kind == "grant":
         grantor = record["grantor"]
         db.grants.grant(

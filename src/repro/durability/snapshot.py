@@ -197,10 +197,9 @@ def restore_state(db: "Database", state: dict) -> None:
             table.insert(tuple(row), row_id=rid)
         table.set_next_row_id(table_state["next_id"])
         for index_def in table_state["indexes"]:
-            columns = tuple(index_def["columns"])
-            unique = index_def["unique"]
-            if not table.has_index(columns, unique):
-                table.create_index(columns, unique=unique)
+            table.create_index(
+                tuple(index_def["columns"]), unique=index_def["unique"]
+            )
     db.grants.restore(
         [
             GrantRecord(view, grantee, grantor, bool(option))

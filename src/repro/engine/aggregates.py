@@ -4,11 +4,19 @@
 * ``sum``/``avg``/``min``/``max`` ignore NULLs and return NULL over an
   empty (or all-NULL) input; ``count`` returns 0.
 * ``DISTINCT`` variants deduplicate non-NULL values first.
+
+Each accumulator folds one value with ``add`` (the row engine) or a
+whole vector with ``add_all`` (the vectorized engine and shard
+partials).  ``add_all(values)`` leaves the accumulator exactly as
+``add`` on each value in order would, raises the same errors, and runs
+builtins over the vector instead of a Python call per value.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import reduce
+from operator import add
+from typing import Optional, Sequence
 
 from repro.errors import ExecutionError, TypeError_
 
@@ -17,6 +25,9 @@ class Accumulator:
     """Base accumulator: feed values with add(), read with result()."""
 
     def add(self, value: object) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def add_all(self, values: Sequence) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def result(self) -> object:  # pragma: no cover - abstract
@@ -29,6 +40,9 @@ class CountStar(Accumulator):
 
     def add(self, value: object) -> None:
         self.count += 1
+
+    def add_all(self, values: Sequence) -> None:
+        self.count += len(values)
 
     def result(self) -> int:
         return self.count
@@ -48,6 +62,12 @@ class Count(Accumulator):
                 return
             self.seen.add(value)
         self.count += 1
+
+    def add_all(self, values: Sequence) -> None:
+        values = _non_null(values)
+        if self.distinct:
+            values = _unseen(values, self.seen)
+        self.count += len(values)
 
     def result(self) -> int:
         return self.count
@@ -69,6 +89,19 @@ class Sum(Accumulator):
                 return
             self.seen.add(value)
         self.total = value if self.total is None else self.total + value
+
+    def add_all(self, values: Sequence) -> None:
+        values = _numbers(values, "sum")
+        if self.distinct:
+            values = _unseen(values, self.seen)
+        if not values:
+            return
+        # left to right, as add() would: a compensated sum (math.fsum)
+        # would change float results
+        if self.total is None:
+            self.total = reduce(add, values)
+        else:
+            self.total = reduce(add, values, self.total)
 
     def result(self) -> Optional[float]:
         return self.total
@@ -92,6 +125,13 @@ class Avg(Accumulator):
             self.seen.add(value)
         self.total += value
         self.count += 1
+
+    def add_all(self, values: Sequence) -> None:
+        values = _numbers(values, "avg")
+        if self.distinct:
+            values = _unseen(values, self.seen)
+        self.total = reduce(add, values, self.total)
+        self.count += len(values)
 
     def result(self) -> Optional[float]:
         if self.count == 0:
@@ -119,8 +159,72 @@ class MinMax(Accumulator):
         if smaller == self.is_min:
             self.best = value
 
+    def add_all(self, values: Sequence) -> None:
+        try:
+            self.best = self._fold(values)
+        except TypeError:
+            # a NULL among the values, or values that do not compare
+            values = _non_null(values)
+            try:
+                self.best = self._fold(values)
+            except TypeError:
+                for value in values:  # add() raises its error and message
+                    self.add(value)
+
+    def _fold(self, values: Sequence) -> object:
+        """The state add() reaches over ``values`` (raises TypeError
+        where some pair does not compare)."""
+        if self.best is not None:
+            values = [self.best, *values]
+        if not values:
+            return None
+        if self.is_min:
+            # min() replaces only on a smaller value, as add() does
+            return min(values)
+        if float in map(type, values):
+            # a NaN is neither smaller nor larger than anything: fold
+            # with add()'s own test
+            best = values[0]
+            for value in values:
+                if not value < best:
+                    best = value
+            return best
+        # without NaN, the last largest value is the one add() keeps
+        return max(reversed(values))
+
     def result(self) -> object:
         return self.best
+
+
+def _non_null(values: Sequence) -> list:
+    return [v for v in values if v is not None]
+
+
+def _unseen(values: Sequence, seen: set) -> list:
+    """The values not in ``seen``, first occurrences only, in order;
+    records them in ``seen``."""
+    fresh = []
+    for value in values:
+        if value not in seen:
+            seen.add(value)
+            fresh.append(value)
+    return fresh
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _numbers(values: Sequence, name: str) -> Sequence:
+    """The non-NULL ``values``, each a number; else add()'s error for
+    the first non-number."""
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        return values
+    values = _non_null(values)
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError_(f"{name}() on non-numeric value {value!r}")
+    return values
 
 
 def make_accumulator(name: str, distinct: bool, star: bool) -> Accumulator:

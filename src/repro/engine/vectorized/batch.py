@@ -13,17 +13,29 @@ expressions evaluate over whole column vectors at a time.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ColumnBatch:
-    """A fixed-width batch of rows in columnar layout."""
+    """A fixed-width batch of rows in columnar layout.
 
-    __slots__ = ("columns", "length")
+    A batch built :meth:`from_rows` keeps the row tuples and transposes
+    a column only when :meth:`column` first reads it.  A scan whose
+    consumers read two of five columns (or none, as ``count(*)``)
+    never builds the other vectors, and a batch that reaches the output
+    unchanged hands back the very tuples it was built from.  Reading
+    :attr:`columns` (every column, as a mutable list) turns the batch
+    columnar for good.
+    """
+
+    __slots__ = ("_columns", "length", "_rows")
 
     def __init__(self, columns: list[list], length: int):
-        self.columns = columns
+        self._columns = columns
         self.length = length
+        #: source row tuples while some column is still untransposed
+        self._rows: Optional[list[tuple]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -31,31 +43,54 @@ class ColumnBatch:
     def from_rows(cls, rows: Sequence[tuple], width: int) -> "ColumnBatch":
         if not rows:
             return cls.empty(width)
-        if width == 0:
-            return cls([], len(rows))
-        return cls([list(col) for col in zip(*rows)], len(rows))
+        batch = cls([None] * width, len(rows))
+        batch._rows = list(rows)
+        return batch
 
     @classmethod
     def empty(cls, width: int) -> "ColumnBatch":
         return cls([[] for _ in range(width)], 0)
 
-    # -- conversion -------------------------------------------------------
+    # -- access -----------------------------------------------------------
+
+    def column(self, ordinal: int) -> list:
+        """The value vector of one column (shared: do not mutate)."""
+        vector = self._columns[ordinal]
+        if vector is None:
+            vector = self._columns[ordinal] = list(
+                map(itemgetter(ordinal), self._rows)
+            )
+        return vector
+
+    @property
+    def columns(self) -> list[list]:
+        if self._rows is not None:
+            for ordinal in range(len(self._columns)):
+                self.column(ordinal)
+            self._rows = None
+        return self._columns
 
     @property
     def width(self) -> int:
-        return len(self.columns)
+        return len(self._columns)
 
     def to_rows(self) -> list[tuple]:
-        if not self.columns:
+        """The batch's rows (the source tuples when it has them)."""
+        if self._rows is not None:
+            return self._rows
+        if not self._columns:
             return [()] * self.length
-        return list(zip(*self.columns))
+        return list(zip(*self._columns))
 
     # -- transformation ---------------------------------------------------
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Gather the rows at ``indices`` (a selection vector)."""
+        if self._rows is not None:
+            rows = self._rows
+            return ColumnBatch.from_rows([rows[i] for i in indices], self.width)
         return ColumnBatch(
-            [[col[i] for i in indices] for col in self.columns], len(indices)
+            [[col[i] for i in indices] for col in self._columns], len(indices)
         )
 
     def concat_columns(self, other: "ColumnBatch") -> "ColumnBatch":

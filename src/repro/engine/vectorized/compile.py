@@ -10,12 +10,14 @@ Kleene AND/OR/NOT branches below mirror
 arithmetic, and scalar functions delegate to the same helpers, so the
 two engines agree on every scalar (the property suite pins this).
 
-One deliberate difference: evaluation is *eager* across a batch.  The
-row engine short-circuits ``AND``/``OR`` and ``CASE`` per row, so it
-may skip an erroring sub-expression on rows where the outcome is
-already decided; the vectorized engine evaluates every sub-expression
-over the full batch.  On error-free expressions (everything the
-supported workloads produce) the results are identical.
+Evaluation is as lazy as the row engine's: the right side of
+``AND``/``OR`` runs only on the rows its left side leaves undecided, a
+``CASE`` branch value only on the rows whose condition picks it, and an
+``IN`` item only on the rows no earlier item matched (:func:`_on_rows`
+gathers those rows with a selection vector).  A guarded expression such
+as ``case when b <> 0 then a / b end`` therefore never meets the rows
+its guard excludes, on either engine.  Where two rows of one batch
+would raise different errors, the engines may report different ones.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def compile_scalar(expr: ast.Expr, resolver: RowResolver) -> VecFn:
             # e.g. an unsatisfiable query's witness over a zero-column
             # relation: the row engine never resolves it on no rows
             return _raise_on_rows(exc)
-        return lambda b: b.columns[ordinal]
+        return lambda b: b.column(ordinal)
     if isinstance(expr, ast.BinaryOp):
         return _compile_binary(expr, resolver)
     if isinstance(expr, ast.UnaryOp):
@@ -82,6 +84,13 @@ def selection_vector(tri_state: list) -> list[int]:
     return [i for i, v in enumerate(tri_state) if v is True]
 
 
+def _on_rows(fn: VecFn, batch: ColumnBatch, indices: list[int]) -> list:
+    """``fn``'s values on the rows of ``batch`` at ``indices`` only."""
+    if len(indices) == batch.length:
+        return fn(batch)
+    return fn(batch.take(indices))
+
+
 def _raise_on_rows(error: Exception) -> VecFn:
     """Defer an unconditional error until a non-empty batch arrives.
 
@@ -106,27 +115,25 @@ def _compile_binary(expr: ast.BinaryOp, resolver: RowResolver) -> VecFn:
     if op in ("and", "or"):
         left = compile_scalar(expr.left, resolver)
         right = compile_scalar(expr.right, resolver)
-        if op == "and":
+        # AND is decided by a FALSE left side, OR by a TRUE one
+        decided = op == "or"
 
-            def and_fn(b: ColumnBatch) -> list:
-                return [
-                    False
-                    if (l is False or r is False)
-                    else (None if (l is None or r is None) else True)
-                    for l, r in zip(left(b), right(b))
-                ]
+        def and_or_fn(b: ColumnBatch) -> list:
+            lefts = left(b)
+            todo = [i for i, l in enumerate(lefts) if l is not decided]
+            if not todo:
+                return lefts
+            out = list(lefts)
+            for i, r in zip(todo, _on_rows(right, b, todo)):
+                if r is decided:
+                    out[i] = decided
+                elif out[i] is None or r is None:
+                    out[i] = None
+                else:
+                    out[i] = not decided
+            return out
 
-            return and_fn
-
-        def or_fn(b: ColumnBatch) -> list:
-            return [
-                True
-                if (l is True or r is True)
-                else (None if (l is None or r is None) else False)
-                for l, r in zip(left(b), right(b))
-            ]
-
-        return or_fn
+        return and_or_fn
 
     if op in _CMP_OPS:
         return _compile_comparison(expr, resolver)
@@ -322,33 +329,40 @@ def _compile_unary(expr: ast.UnaryOp, resolver: RowResolver) -> VecFn:
 
 def _compile_in_list(expr: ast.InList, resolver: RowResolver) -> VecFn:
     operand = compile_scalar(expr.operand, resolver)
-    items = [compile_scalar(item, resolver) for item in expr.items]
+    # a literal cannot raise, so it is read over the whole batch
+    # rather than gathered for the rows still unmatched
+    items = [
+        (compile_scalar(item, resolver), isinstance(item, ast.Literal))
+        for item in expr.items
+    ]
     negated = expr.negated
     tri_eq = _fast_pair("=")
 
     def in_fn(b: ColumnBatch) -> list:
-        item_vectors = [item(b) for item in items]
-        result = []
-        for i, value in enumerate(operand(b)):
-            if value is None:
-                result.append(None)
-                continue
-            saw_null = False
-            hit = False
-            for vec in item_vectors:
-                candidate = vec[i]
+        values = operand(b)
+        result: list = [None] * b.length
+        saw_null = [False] * b.length
+        pending = [i for i, value in enumerate(values) if value is not None]
+        for item, literal in items:
+            if not pending:
+                break
+            candidates = (
+                map(item(b).__getitem__, pending)
+                if literal
+                else _on_rows(item, b, pending)
+            )
+            unmatched = []
+            for i, candidate in zip(pending, candidates):
                 if candidate is None:
-                    saw_null = True
-                    continue
-                if tri_eq(value, candidate) is True:
-                    hit = True
-                    break
-            if hit:
-                result.append(False if negated else True)
-            elif saw_null:
-                result.append(None)
-            else:
-                result.append(True if negated else False)
+                    saw_null[i] = True
+                    unmatched.append(i)
+                elif tri_eq(values[i], candidate) is True:
+                    result[i] = not negated
+                else:
+                    unmatched.append(i)
+            pending = unmatched
+        for i in pending:
+            result[i] = None if saw_null[i] else negated
         return result
 
     return in_fn
@@ -393,19 +407,21 @@ def _compile_case(expr: ast.CaseExpr, resolver: RowResolver) -> VecFn:
     )
 
     def case_fn(b: ColumnBatch) -> list:
-        cond_vectors = [cond(b) for cond, _ in branches]
-        value_vectors = [value(b) for _, value in branches]
-        default_vector = default(b) if default is not None else None
-        result = []
-        for i in range(b.length):
-            for cond_vec, value_vec in zip(cond_vectors, value_vectors):
-                if cond_vec[i] is True:
-                    result.append(value_vec[i])
-                    break
-            else:
-                result.append(
-                    default_vector[i] if default_vector is not None else None
-                )
+        result: list = [None] * b.length
+        pending = list(range(b.length))
+        for cond, value in branches:
+            if not pending:
+                return result
+            picked, unpicked = [], []
+            for i, c in zip(pending, _on_rows(cond, b, pending)):
+                (picked if c is True else unpicked).append(i)
+            if picked:
+                for i, v in zip(picked, _on_rows(value, b, picked)):
+                    result[i] = v
+            pending = unpicked
+        if default is not None and pending:
+            for i, v in zip(pending, _on_rows(default, b, pending)):
+                result[i] = v
         return result
 
     return case_fn

@@ -15,7 +15,8 @@ vectors:
   instead of scanning — ``rows_scanned`` then counts only fetched rows;
 * joins are hash joins over batches (selection-vector gather, no
   per-pair tuple concatenation until output), aggregation is hash
-  aggregation reusing the row engine's accumulators.
+  aggregation folding a batch at a time into the row engine's
+  accumulators (``Accumulator.add_all``).
 
 The row engine remains the semantic oracle: the differential suite
 (tests/integration/test_differential_engines.py) asserts bag-equal
@@ -178,10 +179,10 @@ class VectorizedExecutor:
             rows = [table.get_row(rid) for rid in row_ids]
             self.index_probes += 1
         else:
-            rows = list(
+            rows = (
                 table.rows()
                 if table is not None
-                else self.context.table_rows(rel.name)
+                else list(self.context.table_rows(rel.name))
             )
         self.rows_scanned += len(rows)
         self._tick(len(rows), len(rows) * width)
@@ -189,6 +190,21 @@ class VectorizedExecutor:
         if residual is None:
             return batches
         return self._filter_batches(batches, residual, rel.columns)
+
+    def _bare_row_count(self, plan: ops.Operator) -> Optional[int]:
+        """The row count of a bare base-table scan, charged as
+        :meth:`_scan` charges reading the rows; None for other input."""
+        while isinstance(plan, ops.Alias):
+            plan = plan.child
+        if not isinstance(plan, ops.Rel):
+            return None
+        table = self._table_handle(plan.name)
+        if table is None:
+            return None
+        count = table.row_count
+        self.rows_scanned += count
+        self._tick(count, count * len(plan.schema_columns))
+        return count
 
     def _view_scan(self, plan: ops.ViewRel) -> list[ColumnBatch]:
         inner = self.context.view_plan(plan.name, plan.access_args)
@@ -227,6 +243,10 @@ class VectorizedExecutor:
 
     def _project(self, plan: ops.Project) -> list[ColumnBatch]:
         child_columns = plan.child.columns
+        if _is_identity(plan.exprs, child_columns):
+            # same values in the same order: keep the child's batches,
+            # and with them any row tuples they still hold
+            return self._batches(plan.child)
         compiled = [
             self._compile(expr, child_columns) for expr, _ in plan.exprs
         ]
@@ -360,11 +380,11 @@ class VectorizedExecutor:
         # build side: key -> list of right row indices (NULL keys never join)
         table: dict[object, list[int]] = {}
         if single:
-            for i, key in enumerate(right.columns[right_keys[0]]):
+            for i, key in enumerate(right.column(right_keys[0])):
                 if key is not None:
                     table.setdefault(key, []).append(i)
         else:
-            key_columns = [right.columns[k] for k in right_keys]
+            key_columns = [right.column(k) for k in right_keys]
             for i, key in enumerate(zip(*key_columns)):
                 if None not in key:
                     table.setdefault(key, []).append(i)
@@ -379,10 +399,10 @@ class VectorizedExecutor:
         result = []
         for batch in left_batches:
             if single:
-                probe_keys = batch.columns[left_keys[0]]
+                probe_keys = batch.column(left_keys[0])
             else:
                 probe_keys = list(
-                    zip(*[batch.columns[k] for k in left_keys])
+                    zip(*[batch.column(k) for k in left_keys])
                 )
             left_idx: list[int] = []
             right_idx: list[int] = []
@@ -533,52 +553,76 @@ class VectorizedExecutor:
     # -- aggregation ------------------------------------------------------
 
     def _aggregate(self, plan: ops.Aggregate) -> list[ColumnBatch]:
+        rows = [
+            key + tuple(acc.result() for acc in accs)
+            for key, accs in self.accumulate(plan)
+        ]
+        return list(
+            batches_from_rows(rows, len(plan.columns), self.batch_size)
+        )
+
+    def accumulate(self, plan: ops.Aggregate) -> list[tuple[tuple, list]]:
+        """Fold ``plan``'s input into ``(group key, accumulators)``
+        pairs in first-seen key order, a batch at a time.  A scalar
+        aggregate has exactly one pair, keyed ``()``, even over no rows.
+
+        Each batch costs one ``add_all`` per aggregate (per group and
+        aggregate when grouped), over the vector its compiled argument
+        kernel returns; ``count(*)`` reads no column, and over a bare
+        table reads only its row count.
+        """
         child_columns = plan.child.columns
         group_fns = [
             self._compile(expr, child_columns) for expr, _ in plan.group_exprs
         ]
-        agg_specs = []
+        specs = []
         for call, _ in plan.aggregates:
             star = len(call.args) == 1 and isinstance(call.args[0], ast.Star)
             arg_fn = None if star else self._compile(call.args[0], child_columns)
-            agg_specs.append((call.name, call.distinct, star, arg_fn))
-
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
+            specs.append((call.name, call.distinct, star, arg_fn))
 
         def new_accumulators():
             return [
                 make_accumulator(name, distinct, star)
-                for name, distinct, star, _ in agg_specs
+                for name, distinct, star, _ in specs
             ]
 
+        if not group_fns:
+            accs = new_accumulators()
+            if all(fn is None for _, _, _, fn in specs):
+                count = self._bare_row_count(plan.child)
+                if count is not None:
+                    self._tick(count)
+                    for acc in accs:
+                        acc.add_all(range(count))
+                    return [((), accs)]
+            for batch in self._batches(plan.child):
+                self._tick(batch.length)
+                everyone = range(batch.length)
+                for acc, (_, _, _, fn) in zip(accs, specs):
+                    acc.add_all(everyone if fn is None else fn(batch))
+            return [((), accs)]
+
+        groups: dict[tuple, list] = {}
         for batch in self._batches(plan.child):
             self._tick(batch.length)
-            group_vectors = [fn(batch) for fn in group_fns]
-            arg_vectors = [
-                None if fn is None else fn(batch)
-                for _, _, _, fn in agg_specs
-            ]
-            for i in range(batch.length):
-                key = tuple(vec[i] for vec in group_vectors)
+            members: dict[tuple, list[int]] = {}
+            for i, key in enumerate(zip(*[fn(batch) for fn in group_fns])):
+                indices = members.get(key)
+                if indices is None:
+                    members[key] = [i]
+                else:
+                    indices.append(i)
+            args = [None if fn is None else fn(batch) for _, _, _, fn in specs]
+            for key, indices in members.items():
                 accs = groups.get(key)
                 if accs is None:
                     accs = groups[key] = new_accumulators()
-                    order.append(key)
-                for acc, vec in zip(accs, arg_vectors):
-                    acc.add(1 if vec is None else vec[i])
-
-        if not groups and not plan.group_exprs:
-            accs = new_accumulators()
-            rows = [tuple(acc.result() for acc in accs)]
-        else:
-            rows = [
-                key + tuple(acc.result() for acc in groups[key])
-                for key in order
-            ]
-        return list(
-            batches_from_rows(rows, len(plan.columns), self.batch_size)
-        )
+                for acc, vector in zip(accs, args):
+                    acc.add_all(
+                        indices if vector is None else [vector[i] for i in indices]
+                    )
+        return list(groups.items())
 
     # -- set operations / sort -------------------------------------------
 
@@ -611,3 +655,20 @@ class VectorizedExecutor:
             order.sort(key=sort_key, reverse=descending)
         sorted_batch = batch.take(order)
         return [sorted_batch] if sorted_batch.length else []
+
+
+def _is_identity(projections, columns: tuple) -> bool:
+    """True when ``projections`` are bare references to ``columns``,
+    each in its own position."""
+    if len(projections) != len(columns):
+        return False
+    resolver = RowResolver(columns)
+    for position, (expr, _) in enumerate(projections):
+        if not isinstance(expr, ast.ColumnRef):
+            return False
+        try:
+            if resolver.ordinal(expr) != position:
+                return False
+        except ExecutionError:
+            return False
+    return True

@@ -160,12 +160,15 @@ def code_for_status(status: str) -> str:
 # -- frame encode / decode ------------------------------------------------
 
 
+#: one encoder for every payload: ``json.dumps`` with non-default
+#: arguments builds a new encoder per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def encode_payload(message: dict) -> bytes:
     """JSON-encode one message (compact separators, UTF-8)."""
     try:
-        return json.dumps(
-            message, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
+        return _ENCODER.encode(message).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"message is not JSON-serializable: {exc}") from None
 
@@ -266,7 +269,7 @@ def iter_result_frames(
     batch: list[tuple] = []
     batch_bytes = 0
     for row in rows:
-        encoded = len(encode_payload({"r": list(row)})) - len('{"r":}')
+        encoded = len(encode_payload(row))  # a tuple encodes as a list
         if encoded > budget:
             raise FrameTooLarge(
                 f"a single result row encodes to {encoded} bytes, beyond "

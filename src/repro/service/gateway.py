@@ -100,6 +100,7 @@ from repro.service.request import QueryRequest, QueryResponse, RequestStatus, Ti
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
+    from repro.nontruman.decision import ValidityDecision
     from repro.rebac.trace import ExplainReport
 
 
@@ -416,6 +417,26 @@ class EnforcementGateway:
     ) -> "ExplainReport":
         """The validity decision on ``sql`` for this session, traced
         back to its views (and ReBAC tuple chains), without executing.
+        The decision is taken as :meth:`check` takes it.
+        """
+        # imported here: the ReBAC package stays out of a server that
+        # never explains
+        from repro.rebac.trace import explain_query
+
+        return self._decide(
+            user, mode, params,
+            lambda session, ctx: explain_query(self.db, sql, session, ctx),
+        )
+
+    def check(
+        self,
+        user: Optional[str],
+        mode: str,
+        params: Mapping[str, object],
+        sql: Union[str, ast.QueryExpr],
+    ) -> "ValidityDecision":
+        """The validity decision on ``sql`` for this session, without
+        executing.
 
         The check runs like a query's: under the read lock, so DML
         cannot move the data its C3 probes read, and with the gateway's
@@ -423,15 +444,17 @@ class EnforcementGateway:
         :class:`~repro.errors.QueryTimeout`.  It runs on the caller's
         thread and takes no admission slot.
         """
-        # imported here: the ReBAC package stays out of a server that
-        # never explains
-        from repro.rebac.trace import explain_query
+        return self._decide(
+            user, mode, params,
+            lambda session, ctx: self.db.check_validity(sql, session, ctx),
+        )
 
+    def _decide(self, user, mode, params, decide):
         session = self.db.connect(user, mode, **params).session
         ctx = QueryContext(deadline=self.default_deadline, clock=self.clock)
         self._rwlock.acquire_read()
         try:
-            return explain_query(self.db, sql, session, ctx)
+            return decide(session, ctx)
         finally:
             self._rwlock.release_read()
 

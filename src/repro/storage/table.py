@@ -22,7 +22,7 @@ path is one attribute check per mutation and nothing on reads.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import ExecutionError, IntegrityError
 from repro.catalog.schema import TableSchema
@@ -56,8 +56,13 @@ class Table:
     # -- index management -------------------------------------------------
 
     def create_index(self, columns: Iterable[str], unique: bool = False) -> HashIndex:
+        """Index ``columns``; an index on exactly these columns with the
+        same uniqueness is returned as it is, and nothing is logged."""
         names = tuple(columns)
         ordinals = tuple(self.schema.column_index(c) for c in names)
+        for index in self._indexes:
+            if index.columns == ordinals and index.unique == unique:
+                return index
         index = HashIndex(self.schema.name, ordinals, names, unique=unique)
         for row_id, row in self._rows.items():
             index.insert(row_id, row)
@@ -94,12 +99,12 @@ class Table:
             self._in_id_order = True
         return self._rows
 
-    def rows(self) -> Iterator[tuple]:
-        """Iterate over the current rows (bag semantics), in id order."""
-        return iter(list(self._ordered().values()))
+    def rows(self) -> list[tuple]:
+        """A snapshot of the current rows (bag semantics), in id order."""
+        return list(self._ordered().values())
 
-    def rows_with_ids(self) -> Iterator[tuple[int, tuple]]:
-        return iter(list(self._ordered().items()))
+    def rows_with_ids(self) -> list[tuple[int, tuple]]:
+        return list(self._ordered().items())
 
     def get_row(self, row_id: int) -> tuple:
         try:

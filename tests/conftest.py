@@ -103,3 +103,19 @@ def university_db() -> Database:
 @pytest.fixture
 def bank_db() -> Database:
     return build_bank(BankConfig(customers=30, seed=5))
+
+
+def build_big_join_db() -> Database:
+    """``L`` (700 rows) and ``R`` (14,000 rows) whose ``L.a < R.b``
+    join takes seconds on either engine: it examines 9.8M pairs, yet
+    only the 244,650 with both keys in 0..699 match (every other ``b``
+    is negative), so a cancelled join never holds much memory."""
+    db = Database()
+    db.execute("create table L(a int primary key)")
+    db.execute("create table R(b int primary key)")
+    values = ", ".join(f"({i})" for i in range(700))
+    db.execute(f"insert into L values {values}")
+    right = db.table("R")
+    for b in range(700 - 14_000, 700):
+        right.insert((b,))
+    return db

@@ -8,8 +8,8 @@ from repro.errors import ParameterError, QueryRejectedError
 from repro.accesspattern import access_pattern_views, describe_access_pattern
 
 
-@pytest.fixture
-def db():
+def build_access_pattern_db() -> Database:
+    """Regions -> Stores -> Sales, reachable only through ``$$`` views."""
     database = Database()
     database.execute_script(
         """
@@ -33,6 +33,11 @@ def db():
     for name in ("AllRegions", "StoresByRegion", "SalesByStore"):
         database.grant_public(name)
     return database
+
+
+@pytest.fixture
+def db():
+    return build_access_pattern_db()
 
 
 class TestChainedDependentJoins:

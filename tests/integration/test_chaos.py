@@ -18,11 +18,13 @@ the end-to-end resilience contract:
 
 import asyncio
 import collections
+import io
 import threading
 import time
 
 import pytest
 
+from repro.cli import Shell
 from repro.db import Database
 from repro.errors import (
     PendingTimeout,
@@ -38,7 +40,7 @@ from repro.service import (
     RequestStatus,
 )
 
-from tests.conftest import UNIVERSITY_DATA, UNIVERSITY_SCHEMA
+from tests.conftest import UNIVERSITY_DATA, UNIVERSITY_SCHEMA, build_big_join_db
 
 TERMINAL = {
     RequestStatus.OK,
@@ -308,16 +310,10 @@ class TestChaosSweep:
 @pytest.fixture
 def big_join_db():
     """In-memory db with a join large enough to take seconds."""
-    db = Database()
-    db.execute("create table L(a int primary key)")
-    db.execute("create table R(b int primary key)")
-    values = ", ".join(f"({i})" for i in range(700))
-    db.execute(f"insert into L values {values}")
-    db.execute(f"insert into R values {values}")
-    return db
+    return build_big_join_db()
 
 
-BIG_JOIN_SQL = "select count(*) from L, R where L.a < R.b"  # 490k pairs
+BIG_JOIN_SQL = "select count(*) from L, R where L.a < R.b"  # 9.8M pairs
 
 
 class TestMidScanCancellation:
@@ -391,7 +387,7 @@ class TestMidScanCancellation:
         try:
             response = gateway.execute(
                 QueryRequest(user=None, mode="open",
-                             sql="select * from L, R",  # 490k wide rows
+                             sql="select * from L, R",  # 9.8M wide rows
                              memory_budget=64 * 1024)
             )
             assert response.status is RequestStatus.ERROR
@@ -511,6 +507,22 @@ class TestPathologicalInference:
         finally:
             network.stop()
             gateway.shutdown(drain=False)
+
+
+    def test_shell_check_dies_at_gateway_deadline(self):
+        """The shell's ``\\check`` takes its decision in the gateway too:
+        the pathological check stops at the shell's query deadline."""
+        out = io.StringIO()
+        shell = Shell(build_pathological_db(), out=out, query_timeout=0.4)
+        script = io.StringIO(f"\\user 11\n\\check {PATHOLOGICAL_SQL}\n")
+        runner = threading.Thread(target=shell.run, args=(script,), daemon=True)
+        runner.start()
+        runner.join(timeout=10.0)
+        try:
+            assert not runner.is_alive(), "\\check ran past its deadline"
+            assert "error: deadline" in out.getvalue()
+        finally:
+            shell.close()
 
 
 class TestBreakerDegradedMode:

@@ -14,9 +14,9 @@ from repro.authviews.session import SessionContext
 from repro.cluster import ClusterCoordinator
 from repro.db import Database, _QueryContext
 from repro.engine import make_executor
-from repro.errors import ReproError
+from repro.errors import ReproError, ResourceBudgetExceeded
 from repro.instrument import COUNTERS
-from repro.service import EnforcementGateway, QueryRequest
+from repro.service import EnforcementGateway, QueryContext, QueryRequest
 from repro.sql.parser import parse_query
 from repro.workloads.university import (
     UniversityConfig,
@@ -163,6 +163,44 @@ class TestLibraryDifferential:
         cluster.execute_query(
             "select sum(grade) from Grades", session=session, mode="open"
         )
+        assert COUNTERS.snapshot().get("cluster.scatter", 0) == before
+
+    def test_index_probed_aggregate_bypasses_scatter(self, pair):
+        """An aggregate over an index probe reads the few matching rows
+        once through the facade's index; every node would pay a fold."""
+        _, cluster = pair
+        user = student_ids(cluster)[0]
+        before = COUNTERS.snapshot().get("cluster.scatter", 0)
+        cluster.execute_query(
+            f"select count(*), min(grade) from Grades where student_id = '{user}'",
+            session=SessionContext(user_id=None),
+            mode="open",
+        )
+        assert COUNTERS.snapshot().get("cluster.scatter", 0) == before
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select count(*) from Grades",
+            "select min(course_id), max(course_id) from Grades",
+            "select count(*) from Grades where grade > 1.0",
+        ],
+    )
+    def test_scattered_fold_charges_every_row(self, pair, sql):
+        """Every shard charges the rows it reads and the rows it folds,
+        twice the table, as the single node's scan and fold do; a row
+        budget below that stops the scatter."""
+        single, cluster = pair
+        session = SessionContext(user_id=None)
+        plan = cluster.plan_query(parse_query(sql), session)
+        rows = len(cluster.table("Grades"))
+        for db in (single, cluster):
+            ctx = QueryContext()
+            db.run_plan(plan, session, ctx=ctx)
+            assert ctx.rows_charged >= 2 * rows
+        before = COUNTERS.snapshot().get("cluster.scatter", 0)
+        with pytest.raises(ResourceBudgetExceeded):
+            cluster.run_plan(plan, session, ctx=QueryContext(row_budget=rows))
         assert COUNTERS.snapshot().get("cluster.scatter", 0) == before
 
     @pytest.mark.parametrize("engine", ["row", "vectorized"])

@@ -32,6 +32,17 @@ class TestDDL:
         with pytest.raises(UnknownTableError):
             db.execute("select * from T")
 
+    def test_foreign_key_columns_are_indexed(self, db):
+        """Each FK column list gets a non-unique index, unless an index
+        on exactly those columns exists already."""
+        assert db.table("Grades").index_defs() == [
+            (("student_id", "course_id"), True),
+            (("student_id",), False),
+            (("course_id",), False),
+        ]
+        # FeesPaid's FK column is its primary key
+        assert db.table("FeesPaid").index_defs() == [(("student_id",), True)]
+
     def test_create_view_and_query(self, db):
         db.execute("create view GoodGrades as select * from Grades where grade >= 3.0")
         result = db.execute("select count(*) from GoodGrades")

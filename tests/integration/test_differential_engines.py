@@ -7,8 +7,10 @@ is a vectorized-engine bug by definition.
 
 Coverage: an open-mode catalog of SQL shapes, every workload query of
 ``student_query_mix`` (open + Truman-rewritten), the paper's worked
-examples, Truman rewrites over the bank views, and the empty-result /
-all-NULL corners where three-valued logic bugs hide.
+examples, Truman rewrites over the bank views, the witnesses of the
+access-pattern (§6) queries, whose dependent joins only a witness
+runs, and the empty-result / all-NULL corners where three-valued logic
+bugs hide.
 """
 
 from collections import Counter
@@ -21,6 +23,7 @@ from repro.workloads.queries import student_query_mix
 from repro.workloads.university import build_university, UniversityConfig
 
 from tests.conftest import UNIVERSITY_DATA, UNIVERSITY_SCHEMA
+from tests.integration.test_access_pattern import build_access_pattern_db
 
 
 def assert_engines_agree(db, sql, session=None, mode="open", access_params=None):
@@ -248,6 +251,64 @@ class TestPaperExamples:
         connection_agreement(conn, sql)
 
 
+# -- access-pattern witnesses (dependent joins, §6) ---------------------
+
+#: (fixture, user, query) whose witnesses read ``$$`` views through
+#: dependent joins: the three chains of test_access_pattern.py and the
+#: paper's §6 examples over SingleGrade
+WITNESS_QUERIES = [
+    ("chain", "analyst",
+     "select r.rname, sa.amount from Regions r, Stores st, Sales sa "
+     "where st.region_id = r.region_id and sa.store_id = st.store_id"),
+    ("chain", "analyst",
+     "select st.store_id, sa.amount from Stores st, Sales sa "
+     "where st.region_id = 1 and sa.store_id = st.store_id"),
+    ("chain", "analyst",
+     "select r.rname, sum(sa.amount) as total "
+     "from Regions r, Stores st, Sales sa "
+     "where st.region_id = r.region_id and sa.store_id = st.store_id "
+     "group by r.rname"),
+    ("section6", "secretary", "select grade from Grades where student_id = '12'"),
+    ("section6", "secretary",
+     "select s.name, g.grade from Students s, Grades g "
+     "where s.student_id = g.student_id"),
+]
+
+
+def section6_db():
+    db = Database()
+    db.execute_script(UNIVERSITY_SCHEMA)
+    db.execute_script(UNIVERSITY_DATA)
+    db.execute_script(
+        """
+        create authorization view SingleGrade as
+            select * from Grades where student_id = $$1;
+        create authorization view AllStudents as select * from Students;
+        """
+    )
+    db.grant_public("SingleGrade")
+    db.grant_public("AllStudents")
+    return db
+
+
+class TestAccessPatternWitnesses:
+    @pytest.mark.parametrize(
+        "fixture,user,sql", WITNESS_QUERIES, ids=range(len(WITNESS_QUERIES))
+    )
+    def test_witness_engines_agree(self, fixture, user, sql):
+        db = build_access_pattern_db() if fixture == "chain" else section6_db()
+        conn = db.connect(user_id=user, mode="non-truman")
+        decision = conn.check_validity(sql)
+        assert decision.valid, decision.describe()
+        row = db.run_plan(decision.witness, conn.session, engine="row")
+        vec = db.run_plan(decision.witness, conn.session, engine="vectorized")
+        assert row.columns == vec.columns
+        assert Counter(row.rows) == Counter(vec.rows)
+        assert Counter(row.rows) == Counter(db.execute(sql).rows)
+        # the query itself, run unmodified once it is accepted
+        connection_agreement(conn, sql)
+
+
 # -- empty-result and all-NULL corners ---------------------------------
 
 
@@ -266,6 +327,19 @@ class TestNullAndEmptyCorners:
             insert into T values (null, null, 'c');
             insert into N values (null, null);
             insert into N values (null, null);
+            create table P(a varchar(8), b varchar(8));
+            insert into P values ('abc', 'a%');
+            insert into P values ('abc', '_b_');
+            insert into P values ('abc', 'x%');
+            insert into P values ('abc', null);
+            insert into P values (null, 'a%');
+            insert into P values (null, null);
+            create table D(a int, b int);
+            insert into D values (1, 0);
+            insert into D values (4, 2);
+            insert into D values (6, 3);
+            insert into D values (null, 0);
+            insert into D values (5, null);
             """
         )
         return db
@@ -302,9 +376,21 @@ class TestNullAndEmptyCorners:
         "select * from T where k in (select k from N)",
         "select * from T where k not in (select k from N)",
         "select count(*) from T where exists (select 1 from Empty)",
+        # LIKE with a column pattern, NULL on either side
+        "select * from P where a like b",
+        "select * from P where a not like b",
+        "select a, b, a like b from P",
         # sort with NULLs first/last and expressions over NULLs
         "select k, v from T order by v desc, k",
         "select coalesce(v, 0.0 - 1.0), case when v > 2.0 then 'x' end from T",
+        # guards: the row engine never divides on the rows where b = 0
+        "select case when b <> 0 then a / b end from D",
+        "select * from D where b <> 0 and a / b > 1",
+        "select * from D where b = 0 or a / b > 1",
+        "select * from D where a in (1, 10 / b)",
+        "select case when b = 0 then 0 when a / b > 1 then a / b"
+        " else a % b end from D",
+        "select sum(case when b <> 0 then a / b else 0 end) from D",
     ]
 
     @pytest.mark.parametrize("sql", QUERIES, ids=range(len(QUERIES)))

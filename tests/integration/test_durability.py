@@ -13,6 +13,7 @@ from repro.catalog.constraints import TotalParticipation
 from repro.db import Database
 from repro.durability import has_durable_data
 from repro.durability.layout import list_segments, list_snapshots
+from repro.durability.wal import read_wal
 from repro.errors import DurabilityError
 
 from tests.conftest import UNIVERSITY_DATA, UNIVERSITY_SCHEMA
@@ -99,6 +100,30 @@ class TestSaveOpenRoundTrip:
         assert recovered.durability.recovery_info["wal_records_replayed"] > 0
         # the recovered database keeps working and keeps logging
         recovered.execute("insert into Students values ('16', 'Frank', null)")
+        recovered.close()
+
+    def test_foreign_key_indexes_rebuilt_from_ddl(self, tmp_path):
+        """A table's FK indexes come from its DDL on replay: the WAL
+        holds the CREATE TABLE and no index record."""
+        data_dir = str(tmp_path / "data")
+        db = Database.open(data_dir)
+        db.execute("create table P(id int primary key)")
+        db.execute(
+            "create table C(id int primary key, p int, "
+            "foreign key (p) references P)"
+        )
+        expected = db.table("C").index_defs()
+        assert expected == [(("id",), True), (("p",), False)]
+        db.close(checkpoint=False)
+
+        kinds = [
+            record["kind"]
+            for _, segment in list_segments(data_dir)
+            for record in read_wal(segment)[0]
+        ]
+        assert "index" not in kinds and kinds.count("ddl") == 2
+        recovered = Database.open(data_dir)
+        assert recovered.table("C").index_defs() == expected
         recovered.close()
 
     def test_query_behavior_survives_reopen(self, tmp_path):

@@ -26,7 +26,7 @@ from repro.net import AsyncReproClient, NetworkService, ReproClient
 from repro.net.protocol import HEADER, FrameDecoder, encode_frame
 from repro.service import ChaosInjector, EnforcementGateway
 
-from tests.conftest import UNIVERSITY_DATA, UNIVERSITY_SCHEMA
+from tests.conftest import UNIVERSITY_DATA, UNIVERSITY_SCHEMA, build_big_join_db
 
 BIG_JOIN_SQL = (
     "select count(*) from L, R where a < b"
@@ -42,16 +42,6 @@ def university_db() -> Database:
         "select * from Grades where student_id = $user_id"
     )
     db.grant_public("MyGrades")
-    return db
-
-
-def join_db(rows: int = 700) -> Database:
-    db = Database()
-    db.execute("create table L(a int primary key)")
-    db.execute("create table R(b int primary key)")
-    values = ", ".join(f"({i})" for i in range(rows))
-    db.execute(f"insert into L values {values}")
-    db.execute(f"insert into R values {values}")
     return db
 
 
@@ -286,7 +276,7 @@ class TestQueries:
 
 class TestDeadlinesAndCancellation:
     def test_wire_deadline_times_out(self):
-        db = join_db()
+        db = build_big_join_db()
         gateway = EnforcementGateway(db, workers=1)
         with NetworkService(gateway) as network:
             host, port = network.address
@@ -301,7 +291,7 @@ class TestDeadlinesAndCancellation:
         gateway.shutdown(drain=False)
 
     def test_cancel_frame_kills_in_flight_query(self):
-        db = join_db()
+        db = build_big_join_db()
         gateway = EnforcementGateway(db, workers=1)
         network = NetworkService(gateway)
         host, port = network.start()
@@ -471,7 +461,7 @@ class TestCancellationOnDisconnect:
         """Client vanishes mid-query: the in-flight QueryContext is
         cancelled, nothing partial escapes, and the request is audited
         exactly once."""
-        db = join_db()
+        db = build_big_join_db()
         gateway = EnforcementGateway(db, workers=1)
         network = NetworkService(gateway)
         host, port = network.start()
@@ -519,7 +509,7 @@ class TestCancellationOnDisconnect:
         assert gateway.metrics.get("disconnect_cancels") == 0
 
     def test_multiple_inflight_all_cancelled_on_drop(self):
-        db = join_db()
+        db = build_big_join_db()
         gateway = EnforcementGateway(db, workers=2)
         network = NetworkService(gateway)
         host, port = network.start()

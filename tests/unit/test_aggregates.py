@@ -83,3 +83,81 @@ def test_unknown_aggregate():
 
     with pytest.raises(ExecutionError):
         make_accumulator("median", False, False)
+
+
+# -- add_all: a vector at a time, exactly as add() one value at a time ---
+
+#: value vectors where a fold's order, NULLs, ties between equal values
+#: of different types, or DISTINCT's first occurrence would show
+VECTORS = [
+    [],
+    [None, None],
+    [3, None, 1, 2],
+    [0.3, 0.2, 0.1],  # 0.6 left to right, 0.6000000000000001 sorted
+    [1e16, 1.0, -1e16],  # 0.0 left to right, 1.0 compensated
+    [1, 1.0, True, 2, 2.0],
+    [1.0, 1, 2.0, 2],
+    ["b", "a", None, "c", "a"],
+    [None, 2.5, 2.5, -0.0, 0.0],
+    [2.0, float("nan"), 1.0],  # a NaN neither smaller nor larger
+    [1.0, 3.0, float("nan"), 0.0, 2.0],
+    [1, 2, "b", "a"],  # incomparable values across a chunk boundary
+]
+
+FUNCTIONS = [
+    ("count", False, True),
+    ("count", False, False),
+    ("count", True, False),
+    ("sum", False, False),
+    ("sum", True, False),
+    ("avg", False, False),
+    ("avg", True, False),
+    ("min", False, False),
+    ("max", False, False),
+]
+
+
+def fold(name, distinct, star, values, chunk=None):
+    """(result, its type) or (error type, message) of one accumulator
+    fed ``values`` by add(), or by add_all() in ``chunk``-sized vectors."""
+    acc = make_accumulator(name, distinct, star)
+    try:
+        if chunk is None:
+            for value in values:
+                acc.add(value)
+        else:
+            for start in range(0, len(values), chunk):
+                acc.add_all(values[start : start + chunk])
+    except TypeError_ as exc:
+        return TypeError_, str(exc)
+    return repr(acc.result()), type(acc.result())
+
+
+#: (function, vector) pairs; sum and avg of text are the error cases
+CASES = [
+    (function, values)
+    for function in FUNCTIONS
+    for values in VECTORS
+    if function[0] not in ("sum", "avg") or "a" not in values
+]
+
+
+class TestAddAll:
+    @pytest.mark.parametrize("function,values", CASES, ids=range(len(CASES)))
+    @pytest.mark.parametrize("chunk", [1, 2, 1024])
+    def test_matches_add(self, function, values, chunk):
+        assert fold(*function, values, chunk) == fold(*function, values)
+
+    @pytest.mark.parametrize(
+        "name,values",
+        [
+            ("sum", [1, None, "x", 2]),
+            ("avg", [None, True]),
+            ("min", [None, 1, "a"]),
+            ("max", ["a", None, 2, 3]),
+        ],
+    )
+    def test_same_error_as_add(self, name, values):
+        expected = fold(name, False, False, values)
+        assert expected[0] is TypeError_
+        assert fold(name, False, False, values, chunk=1024) == expected

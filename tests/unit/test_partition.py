@@ -13,6 +13,7 @@ import pytest
 
 from repro.catalog.schema import Column, TableSchema
 from repro.catalog.types import DataType
+from repro.cluster import ClusterCoordinator
 from repro.cluster.partition import HashPartitioner, PartitionedTable
 from repro.errors import ExecutionError
 from repro.storage.table import Table
@@ -112,6 +113,38 @@ class TestPartitionedTableFacade:
         for i in range(50):
             single.insert((i, f"n{i}", float(i)))
         assert list(table.rows_with_ids()) == list(single.rows_with_ids())
+
+    def test_fragment_reads_in_row_id_order_after_rollback(self):
+        """A rolled-back delete restores its rows under their old ids,
+        below the newest one.  Every shard's fragment still reads in
+        row-id order, which scans over a fragment rely on unsorted."""
+        db = ClusterCoordinator(shards=2, replicas=0)
+        db.execute("create table T(id int primary key, v int)")
+        for i in range(12):
+            db.execute(f"insert into T values ({i}, {i})")
+        db.execute("begin")
+        db.execute("delete from T where id < 6")
+        db.execute("rollback")
+        table = db.table("T")
+        seen = []
+        for shard in range(table.n_shards):
+            fragment = table.fragment(shard)
+            ids = [rid for rid, _ in fragment.rows_with_ids()]
+            assert ids and ids == sorted(ids)
+            assert fragment.rows() == [table.get_row(rid) for rid in ids]
+            seen.extend(ids)
+        assert sorted(seen) == list(range(12))
+
+    def test_existing_index_is_returned_and_not_logged(self):
+        table = make_partitioned(3)
+        table.insert((1, "a", 1.0))
+        table.create_index(("name",))
+        events = []
+        table.on_mutate = lambda *args: events.append(args)
+        again = table.create_index(("name",))
+        assert events == []
+        assert table.index_defs() == [(("name",), False)]
+        assert again.lookup(("a",)) == frozenset({0})
 
     def test_cross_shard_unique_violation_single_node_message(self):
         table = make_partitioned(4, key=("name",))

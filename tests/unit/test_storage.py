@@ -320,3 +320,15 @@ class TestMultiIndexAtomicity:
         assert events == [("index", ("score",), False)]
         assert t.has_index(("score",), unique=False)
         assert not t.has_index(("score",), unique=True)
+
+    def test_existing_index_is_returned_and_not_logged(self):
+        t = make_table()
+        first = t.create_index(("score",), unique=False)
+        events = []
+        t.on_mutate = lambda *args: events.append(args)
+        assert t.create_index(("score",), unique=False) is first
+        assert events == []
+        assert t.index_defs() == [(("score",), False)]
+        # other uniqueness: a second index, logged
+        t.create_index(("score",), unique=True)
+        assert events == [("index", ("score",), True)]
