@@ -9,16 +9,17 @@ the throughput side and stress-tests the enforcement side:
 
 Gates:
 
-* partition-pruned point reads on a 4-shard coordinator are ≥3x the
-  1-shard baseline (≥1.5x under ``REPRO_BENCH_CI=1``), with zero row
-  mismatches between the two topologies;
+* every partition-key point read on a 4-shard coordinator reads the
+  rows and indexes of exactly one shard, the one that owns the key,
+  with zero row mismatches against the 1-shard baseline; the speed-up
+  over that baseline is reported, not gated, since it divides by a
+  path (an indexed single-node read) that other changes make faster;
 * replica staleness stays bounded by the shipping batch size under a
   sustained write storm, and drains to zero on sync;
 * a revoke-during-read storm with a mid-storm replica failover serves
   **zero** stale-policy answers and zero wrong rows.
 """
 
-import os
 import threading
 import time
 
@@ -38,9 +39,6 @@ EXPERIMENT = register_experiment(
         claim="§10 — scatter-gather sharding scales reads; epoch-gated WAL shipping keeps every answer policy-current",
     )
 )
-
-#: local acceptance gate vs the floor CI runners can honestly promise
-SPEEDUP_FLOOR = 1.5 if os.environ.get("REPRO_BENCH_CI") else 3.0
 
 STUDENTS = 600
 GRADES_PER = 10
@@ -67,22 +65,54 @@ def topologies():
     return build_topology(1), build_topology(4)
 
 
+def point_students():
+    return [f"s{s}" for s in range(0, STUDENTS, STUDENTS // POINT_READS)]
+
+
+def point_read(db, session, student):
+    result = db.execute_query(
+        f"select course, grade from Grades where student_id = '{student}'",
+        session=session,
+        mode="open",
+    )
+    return tuple(result.rows)
+
+
 def point_reads(db, session):
-    out = []
-    for s in range(0, STUDENTS, STUDENTS // POINT_READS):
-        result = db.execute_query(
-            f"select course, grade from Grades where student_id = 's{s}'",
-            session=session,
-            mode="open",
-        )
-        out.append(tuple(result.rows))
-    return out
+    return [point_read(db, session, student) for student in point_students()]
 
 
-def test_sharded_point_read_speedup(topologies):
+#: the shard ``Table`` methods a read of its rows or indexes goes through
+SHARD_READS = ("rows", "rows_with_ids", "get_row", "find_index")
+
+
+def shards_read(db, run, monkeypatch) -> set:
+    """Ordinals of the ``Grades`` shards whose rows or indexes ``run()``
+    reads."""
+    table = db.table("Grades")
+    visited = set()
+
+    def recording(ordinal, method):
+        def read(*args, **kwargs):
+            visited.add(ordinal)
+            return method(*args, **kwargs)
+
+        return read
+
+    with monkeypatch.context() as patch:
+        for ordinal in range(table.n_shards):
+            shard = table.shard_table(ordinal)
+            for name in SHARD_READS:
+                patch.setattr(shard, name, recording(ordinal, getattr(shard, name)))
+        run()
+    return visited
+
+
+def test_sharded_point_read_speedup(topologies, monkeypatch):
     """The acceptance gate: partition pruning turns a point read into a
-    1-of-4-shards scan, so the 4-shard coordinator clears ≥3x the
-    1-shard baseline on the same data — byte-identically."""
+    1-of-4-shards read — each read visits exactly the shard that owns
+    its key — and answers byte-identically to the 1-shard baseline.
+    The throughput ratio between the two is reported."""
     one, four = topologies
     session = SessionContext()
     baseline = point_reads(one, session)
@@ -90,25 +120,40 @@ def test_sharded_point_read_speedup(topologies):
     mismatches = sum(1 for a, b in zip(baseline, sharded) if a != b)
     assert mismatches == 0
 
+    partitioner = four.table("Grades").partitioner
+    visits = {
+        student: shards_read(
+            four, lambda: point_read(four, session, student), monkeypatch
+        )
+        for student in point_students()
+    }
+    off_target = sum(
+        1
+        for student, visited in visits.items()
+        if visited != {partitioner.shard_of_key((student,))}
+    )
+
     one_s, _ = time_callable(lambda: point_reads(one, session), repeat=3)
     four_s, _ = time_callable(lambda: point_reads(four, session), repeat=3)
     speedup = one_s / four_s
+    n = len(visits)
     EXPERIMENT.add(
-        f"point reads, {STUDENTS * GRADES_PER} rows, {POINT_READS} queries",
-        queries=POINT_READS,
+        f"point reads, {STUDENTS * GRADES_PER} rows, {n} queries",
+        queries=n,
         mismatches=mismatches,
+        shards_per_read=round(
+            sum(len(v) for v in visits.values()) / len(visits), 2
+        ),
+        off_target_reads=off_target,
         one_shard_ms=round(one_s * 1000, 2),
         four_shard_ms=round(four_s * 1000, 2),
         speedup=round(speedup, 1),
-        floor=SPEEDUP_FLOOR,
-        one_shard_qps=round(POINT_READS / one_s),
-        four_shard_qps=round(POINT_READS / four_s),
+        one_shard_qps=round(n / one_s),
+        four_shard_qps=round(n / four_s),
     )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"4-shard speedup {speedup:.1f}x below the {SPEEDUP_FLOOR:.1f}x "
-        f"gate (1 shard {one_s * 1000:.1f}ms vs 4 shards "
-        f"{four_s * 1000:.1f}ms)"
-    )
+    assert off_target == 0, {s: v for s, v in visits.items() if len(v) != 1}
+    # the reads spread over every shard, so each shard was checked
+    assert set().union(*visits.values()) == set(range(4))
 
 
 def test_replica_staleness_bounded_under_write_storm():

@@ -122,6 +122,38 @@ class Select(Operator):
 
 
 @dataclass(frozen=True)
+class Prefilter(Operator):
+    """σ̃ — a lenient selection that only sheds work.
+
+    Drops the rows on which ``predicate`` is FALSE or UNKNOWN and keeps
+    the rows on which evaluating it raises.  Selection pushdown
+    (:mod:`repro.algebra.rewrite`) places one as a *copy* of a WHERE
+    conjunct inside a view body, where it also sees rows the view hides;
+    the conjunct itself stays above the view.  A row it drops could not
+    have passed that conjunct, so a prefilter never changes the rows of
+    the answer and never adds an error.  It can drop one: in
+    ``c1 and c2`` above a view, a copy of ``c2`` alone can drop a
+    visible row on which ``c1`` raises, and the query answers instead of
+    raising.  Such an error is raised by a visible row only, so no
+    observable comes to depend on a hidden row.
+    """
+
+    child: Operator
+    predicate: ast.Expr
+
+    @property
+    def columns(self) -> tuple[OutCol, ...]:
+        return self.child.columns
+
+    @property
+    def children(self) -> tuple[Operator, ...]:
+        return (self.child,)
+
+    def _describe(self) -> str:
+        return f"Prefilter[{self.predicate}]"
+
+
+@dataclass(frozen=True)
 class Project(Operator):
     """π — compute output expressions (no duplicate elimination).
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from repro.errors import ExecutionError, TypeError_
+from repro.errors import ExecutionError, QueryAborted, TypeError_
 from repro.sql import ast
 from repro.algebra.ops import OutCol
 
@@ -133,6 +133,21 @@ class Evaluator:
     def matches(self, predicate: ast.Expr, row: tuple) -> bool:
         """True iff the predicate evaluates to TRUE (not UNKNOWN)."""
         return self.evaluate(predicate, row) is True
+
+    def passes_prefilter(self, predicate: ast.Expr, row: tuple) -> bool:
+        """False iff the predicate evaluates to FALSE or UNKNOWN.
+
+        A row the predicate raises on passes: a
+        :class:`~repro.algebra.ops.Prefilter` also sees rows its view
+        hides, so no error of its own may surface, whatever its kind.
+        Only an abort of the whole query propagates.
+        """
+        try:
+            return self.evaluate(predicate, row) is True
+        except QueryAborted:
+            raise
+        except Exception:
+            return True
 
     # ------------------------------------------------------------------
 

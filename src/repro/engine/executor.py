@@ -85,6 +85,8 @@ class Executor:
             return self.execute(plan.child)
         if isinstance(plan, ops.Select):
             return self._execute_select(plan)
+        if isinstance(plan, ops.Prefilter):
+            return self._execute_prefilter(plan)
         if isinstance(plan, ops.Project):
             return self._execute_project(plan)
         if isinstance(plan, ops.Distinct):
@@ -121,6 +123,18 @@ class Executor:
         for row in rows:
             qctx.tick()
             if evaluator.matches(plan.predicate, row):
+                result.append(row)
+        return result
+
+    def _execute_prefilter(self, plan: ops.Prefilter) -> list[tuple]:
+        rows = self.execute(plan.child)
+        evaluator = Evaluator(RowResolver(plan.child.columns))
+        qctx = self.qctx
+        result = []
+        for row in rows:
+            if qctx is not None:
+                qctx.tick()
+            if evaluator.passes_prefilter(plan.predicate, row):
                 result.append(row)
         return result
 

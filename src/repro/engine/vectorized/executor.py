@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, QueryAborted
 from repro.sql import ast
 from repro.algebra import expr as exprs
 from repro.algebra import ops
 from repro.engine.aggregates import make_accumulator
-from repro.engine.evaluator import RowResolver
+from repro.engine.evaluator import Evaluator, RowResolver
 from repro.engine.executor import (
     ExecContext,
     Executor,
@@ -116,6 +116,8 @@ class VectorizedExecutor:
             return self._batches(plan.child)
         if isinstance(plan, ops.Select):
             return self._select(plan)
+        if isinstance(plan, ops.Prefilter):
+            return self._prefilter(plan)
         if isinstance(plan, ops.Project):
             return self._project(plan)
         if isinstance(plan, ops.Distinct):
@@ -240,6 +242,42 @@ class VectorizedExecutor:
             return self._scan(child, plan.predicate)
         batches = self._batches(child)
         return self._filter_batches(batches, plan.predicate, child.columns)
+
+    def _prefilter(self, plan: ops.Prefilter) -> list[ColumnBatch]:
+        """A lenient filter (:class:`~repro.algebra.ops.Prefilter`): a
+        batch its kernel raises on is decided row by row by
+        :meth:`Evaluator.passes_prefilter`, which keeps the rows the
+        predicate raises on; only a query abort propagates."""
+        columns = plan.child.columns
+        evaluator = Evaluator(RowResolver(columns))
+        try:
+            compiled = self._compile(plan.predicate, columns)
+        except QueryAborted:
+            raise
+        except Exception:
+            compiled = None
+        result = []
+        for batch in self._batches(plan.child):
+            self._tick(batch.length)
+            sel = None
+            if compiled is not None:
+                try:
+                    sel = selection_vector(compiled(batch))
+                except QueryAborted:
+                    raise
+                except Exception:
+                    pass
+            if sel is None:
+                sel = [
+                    i
+                    for i, row in enumerate(batch.to_rows())
+                    if evaluator.passes_prefilter(plan.predicate, row)
+                ]
+            if len(sel) == batch.length:
+                result.append(batch)
+            elif sel:
+                result.append(batch.take(sel))
+        return result
 
     def _project(self, plan: ops.Project) -> list[ColumnBatch]:
         child_columns = plan.child.columns
@@ -419,13 +457,14 @@ class VectorizedExecutor:
             combined = batch.take(left_idx).concat_columns(right.take(right_idx))
             if compiled_residual is not None:
                 sel = selection_vector(compiled_residual(combined))
-                matched_left = {left_idx[s] for s in sel}
+                if is_left:
+                    left_idx = [left_idx[s] for s in sel]
                 combined = combined.take(sel)
-            else:
-                matched_left = set(left_idx)
             if combined.length:
                 result.append(combined)
             if is_left:
+                # only a LEFT join reads which probe rows found a match
+                matched_left = set(left_idx)
                 unmatched = [
                     i for i in range(batch.length) if i not in matched_left
                 ]

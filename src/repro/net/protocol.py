@@ -166,7 +166,12 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 
 def encode_payload(message: dict) -> bytes:
-    """JSON-encode one message (compact separators, UTF-8)."""
+    """JSON-encode one message (compact separators, UTF-8).
+
+    A :class:`ResultFrame` already carries its encoding and is not
+    encoded again."""
+    if isinstance(message, ResultFrame):
+        return message.payload
     try:
         return _ENCODER.encode(message).encode("utf-8")
     except (TypeError, ValueError) as exc:
@@ -234,22 +239,55 @@ class FrameDecoder:
 # -- result streaming ------------------------------------------------------
 
 
+class ResultFrame(dict):
+    """A ``row_batch`` message that carries its own encoding.
+
+    :func:`iter_result_frames` sizes a frame by encoding it, so it keeps
+    the bytes: :func:`encode_payload` (and with it :func:`encode_frame`)
+    returns ``payload`` instead of encoding the rows a second time.  The
+    fields stay readable as a plain dict (``frame["rows"]`` holds the
+    row tuples); treat them as read-only, since ``payload`` does not
+    follow later edits.
+    """
+
+    __slots__ = ("payload",)
+
+    def __init__(self, fields: dict, payload: bytes):
+        super().__init__(fields)
+        self.payload = payload
+
+
 def iter_result_frames(
     request_id: int,
     rows: Sequence[tuple],
     max_frame_size: int = DEFAULT_MAX_FRAME,
     rows_per_frame: int = DEFAULT_ROWS_PER_FRAME,
-) -> Iterator[dict]:
+) -> Iterator[ResultFrame]:
     """Chunk result rows into ``row_batch`` messages.
 
     Every yielded message is guaranteed to encode within
-    ``max_frame_size``: rows are accumulated by their *exact* encoded
-    size (the JSON of a batch is the concatenation of its row encodings
-    plus fixed framing), flushing whenever the next row would overflow
-    the budget or the batch reaches ``rows_per_frame`` rows.  A single
-    row that cannot fit in a frame by itself raises
-    :class:`FrameTooLarge` — the caller answers a typed error instead
-    of shipping an unframeable payload.
+    ``max_frame_size``: a frame holds at most ``rows_per_frame`` rows,
+    and the joined encodings of its rows fit the byte budget left by the
+    frame's envelope (the JSON of a batch is the concatenation of its
+    row encodings plus fixed framing).  Each frame is the longest run of
+    the remaining rows that meets both limits.
+
+    A frame costs one JSON encoding of its ``rows_per_frame`` rows when
+    they fit the budget together.  Once a run overflows it, rows are
+    sized one at a time, and the row that ends a frame by bytes is kept
+    encoded and opens the next frame, so frames go on row by row until
+    one ends at ``rows_per_frame`` rows; only then is a whole run tried
+    again, past every row already tried in one.  The first row is sized
+    alone up front, and when a run of rows that wide could not fit, the
+    result goes row by row from the start.  A row is therefore encoded
+    at most twice: in at most one run, and at most once alone.
+
+    A single row that cannot fit in a frame by itself raises
+    :class:`FrameTooLarge`, and a value JSON cannot encode raises
+    :class:`ProtocolError`; either way the caller answers a typed error
+    instead of shipping an unframeable payload.  A frame is yielded only
+    once the first row after it has been sized, so the frames yielded
+    before such an error are those a row-by-row encoder yields.
 
     Yields nothing for an empty result; the terminal ``result`` frame
     (built by the server) carries the column names either way.
@@ -265,38 +303,84 @@ def iter_result_frames(
             f"max_frame_size of {max_frame_size} bytes cannot fit even an "
             "empty row_batch envelope"
         )
+    head = f'{{"type":"row_batch","id":{_ENCODER.encode(request_id)},"seq":'
+    rows_per_frame = max(1, rows_per_frame)
     seq = 0
-    batch: list[tuple] = []
-    batch_bytes = 0
-    for row in rows:
-        encoded = len(encode_payload(row))  # a tuple encodes as a list
-        if encoded > budget:
-            raise FrameTooLarge(
-                f"a single result row encodes to {encoded} bytes, beyond "
-                f"the {max_frame_size}-byte frame limit"
-            )
-        # +1 for the comma joining it to the previous row
-        if batch and (
-            batch_bytes + 1 + encoded > budget or len(batch) >= rows_per_frame
-        ):
-            yield {
+    start = 0
+    pending: Optional[ResultFrame] = None
+    # the encoding of rows[start], when that row was already sized alone
+    sized = _size_row(rows[0], budget, max_frame_size) if rows else None
+    # try the frame's rows as one run; not when the first row is so wide
+    # that a full run of rows like it would overflow
+    whole_run = (
+        sized is not None
+        and (len(sized) + 1) * min(rows_per_frame, len(rows)) - 1 <= budget
+    )
+    while start < len(rows):
+        parts: list[bytes] = []
+        size = -1  # joined bytes of ``parts``, commas included
+        count = 0
+        if whole_run:
+            chunk = rows[start : start + rows_per_frame]
+            try:
+                joined = _ENCODER.encode(chunk).encode("utf-8")
+            except (TypeError, ValueError):
+                joined = None
+            if joined is not None and len(joined) - 2 <= budget:
+                if pending is not None:
+                    yield pending
+                    pending = None
+                parts.append(joined[1:-1])
+                size = len(joined) - 2
+                count = len(chunk)
+                sized = None
+        # size the frame's remaining rows one at a time
+        while count < rows_per_frame and start + count < len(rows):
+            if sized is not None:
+                encoded, sized = sized, None
+            else:
+                encoded = _size_row(rows[start + count], budget, max_frame_size)
+            # +1 for the comma joining it to the previous row
+            if count and size + 1 + len(encoded) > budget:
+                sized = encoded
+                break
+            if pending is not None:
+                yield pending
+                pending = None
+            parts.append(encoded)
+            size += 1 + len(encoded)
+            count += 1
+        # a frame full by count lets the next one try a whole run again;
+        # after one full by bytes, the rows go on one at a time
+        whole_run = sized is None
+        payload = b"".join(
+            (f"{head}{seq},\"rows\":[".encode("utf-8"), b",".join(parts), b"]}")
+        )
+        pending = ResultFrame(
+            {
                 "type": "row_batch",
                 "id": request_id,
                 "seq": seq,
-                "rows": [list(r) for r in batch],
-            }
-            seq += 1
-            batch = []
-            batch_bytes = 0
-        batch.append(row)
-        batch_bytes += encoded + (1 if batch_bytes else 0)
-    if batch:
-        yield {
-            "type": "row_batch",
-            "id": request_id,
-            "seq": seq,
-            "rows": [list(r) for r in batch],
-        }
+                "rows": rows[start : start + count],
+            },
+            payload,
+        )
+        seq += 1
+        start += count
+    if pending is not None:
+        yield pending
+
+
+def _size_row(row: tuple, budget: int, max_frame_size: int) -> bytes:
+    """One row's JSON (a tuple encodes as a list), checked against the
+    byte budget a frame leaves for its rows."""
+    encoded = encode_payload(row)
+    if len(encoded) > budget:
+        raise FrameTooLarge(
+            f"a single result row encodes to {len(encoded)} bytes, beyond "
+            f"the {max_frame_size}-byte frame limit"
+        )
+    return encoded
 
 
 # -- decision serialization ------------------------------------------------

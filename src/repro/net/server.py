@@ -608,15 +608,26 @@ class ReproServer:
             frames = 0
             if response.result is not None:
                 columns = list(response.result.columns)
-                for frame in iter_result_frames(
-                    request_id,
-                    response.result.rows,
-                    max_frame_size=self.max_frame_size,
-                    rows_per_frame=self.rows_per_frame,
-                ):
-                    await self._send(session, frame)
-                    frames += 1
-                    self.metrics.bump("net_rows_streamed", len(frame["rows"]))
+                try:
+                    for frame in iter_result_frames(
+                        request_id,
+                        response.result.rows,
+                        max_frame_size=self.max_frame_size,
+                        rows_per_frame=self.rows_per_frame,
+                    ):
+                        await self._send(session, frame)
+                        frames += 1
+                        self.metrics.bump(
+                            "net_rows_streamed", len(frame["rows"])
+                        )
+                except ProtocolError as exc:
+                    # a row too large for any frame, or a value JSON
+                    # cannot encode: the request ends in a typed error
+                    # and the session stays open
+                    await self._try_send_error(
+                        session, request_id, "protocol", str(exc)
+                    )
+                    return
             await self._send(
                 session,
                 {

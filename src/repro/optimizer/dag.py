@@ -214,6 +214,8 @@ def _rename_plan(plan: ops.Operator, mapping: dict[str, str]) -> ops.Operator:
         return ops.Project(inner, renames)
     if isinstance(plan, ops.Select):
         return ops.Select(_rename_plan(plan.child, mapping), rn(plan.predicate))
+    if isinstance(plan, ops.Prefilter):
+        return ops.Prefilter(_rename_plan(plan.child, mapping), rn(plan.predicate))
     if isinstance(plan, ops.Project):
         return ops.Project(
             _rename_plan(plan.child, mapping),
@@ -314,7 +316,8 @@ def _insert(memo: Memo, plan: ops.Operator) -> int:
         return memo.add_operation(
             "viewscan", (plan.name.lower(), plan.binding, plan.access_args), ()
         )
-    if isinstance(plan, ops.Alias):
+    if isinstance(plan, (ops.Alias, ops.Prefilter)):
+        # a prefilter only sheds rows a selection above it drops anyway
         return _insert(memo, plan.child)
     if isinstance(plan, ops.Select):
         child = _insert(memo, plan.child)

@@ -104,6 +104,7 @@ class PlanCompileCache:
 #: operator types the binder knows how to path-copy
 _CHILD_FIELDS = {
     ops.Select: ("child",),
+    ops.Prefilter: ("child",),
     ops.Project: ("child",),
     ops.Distinct: ("child",),
     ops.Alias: ("child",),
@@ -119,7 +120,7 @@ _CHILD_FIELDS = {
 
 def _op_exprs(op: ops.Operator):
     """Yield the scalar expressions owned directly by ``op``."""
-    if isinstance(op, ops.Select):
+    if isinstance(op, (ops.Select, ops.Prefilter)):
         yield op.predicate
     elif isinstance(op, ops.Project):
         for expr, _name in op.exprs:
@@ -209,7 +210,10 @@ class PlanBinder:
         for field in _CHILD_FIELDS[type(op)]:
             changes[field] = self._bind_op(getattr(op, field), values)
         substitute = exprs.substitute_access_params
-        if isinstance(op, (ops.Select, ops.Join)) and op.predicate is not None:
+        if (
+            isinstance(op, (ops.Select, ops.Prefilter, ops.Join))
+            and op.predicate is not None
+        ):
             changes["predicate"] = substitute(op.predicate, values)
         elif isinstance(op, ops.Project):
             changes["exprs"] = tuple(

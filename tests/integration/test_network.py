@@ -381,6 +381,50 @@ class TestStreaming:
             network.stop()
             gateway.shutdown(drain=False)
 
+    def test_unframeable_row_answers_error_and_session_survives(self):
+        """Regression: a result row too large for any frame used to kill
+        the delivering task, and the request was never answered."""
+        db = Database()
+        db.execute("create table Wide(id int primary key, v varchar(5000))")
+        db.execute(f"insert into Wide values (1, '{'x' * 4096}'), (2, 'small')")
+        gateway = EnforcementGateway(db, workers=1)
+        network = NetworkService(gateway, max_frame_size=1024)
+        host, port = network.start()
+        try:
+            conn = RawConn(host, port)
+            try:
+                conn.send({"type": "hello", "user": None, "mode": "open"})
+                assert conn.recv(timeout=5.0)["type"] == "welcome"
+                conn.send({"type": "query", "id": 1, "sql": "select v from Wide"})
+                # the watchdog: no answer within 5 s fails, never hangs
+                message = conn.recv(timeout=5.0)
+                while message["type"] == "row_batch":
+                    message = conn.recv(timeout=5.0)
+                assert message["type"] == "error", message
+                assert message["id"] == 1
+                assert message["code"] == "protocol"
+                assert "frame limit" in message["message"]
+                conn.send({
+                    "type": "query",
+                    "id": 2,
+                    "sql": "select v from Wide where id = 2",
+                })
+                batch = conn.recv(timeout=5.0)
+                assert batch["type"] == "row_batch"
+                assert batch["rows"] == [["small"]]
+                result = conn.recv(timeout=5.0)
+                assert result["type"] == "result" and result["id"] == 2
+            finally:
+                conn.close()
+            # the gateway finished the request; the wire reports the error
+            stats = gateway.stats()
+            assert stats["requests_ok"] == 2
+            assert stats["net_protocol_errors"] == 1
+            assert stats["net_rows_streamed"] == 1
+        finally:
+            network.stop()
+            gateway.shutdown(drain=False)
+
     def test_incoming_oversized_frame_closes_connection(self):
         db = university_db()
         gateway = EnforcementGateway(db, workers=1)

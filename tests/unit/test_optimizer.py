@@ -31,6 +31,21 @@ def plan_for(db, sql):
     return db.plan_query(parse_query(sql), db.connect().session)
 
 
+def _without_prefilters(plan):
+    import dataclasses
+
+    from repro.algebra import ops
+
+    if isinstance(plan, ops.Prefilter):
+        return _without_prefilters(plan.child)
+    fields = {
+        f.name: _without_prefilters(getattr(plan, f.name))
+        for f in dataclasses.fields(plan)
+        if isinstance(getattr(plan, f.name), ops.Operator)
+    }
+    return dataclasses.replace(plan, **fields) if fields else plan
+
+
 class TestMemo:
     def test_hash_consing_shares_identical_subtrees(self, db):
         memo = Memo()
@@ -51,6 +66,24 @@ class TestMemo:
         r1 = insert_plan(memo, plan_for(db, "select q.x from A q where q.x = 1"))
         r2 = insert_plan(memo, plan_for(db, "select z.x from A z where z.x = 1"))
         assert memo.find(r1) == memo.find(r2)
+
+    def test_prefilter_is_transparent(self, db):
+        """A view query's plan carries a prefilter copy of its WHERE
+        below the view's join; the memo sees the plan without it."""
+        from repro.algebra import ops
+
+        db.execute(
+            "create view AB as select A.id, A.x, B.y from A, B "
+            "where A.id = B.a_id"
+        )
+        plan = plan_for(db, "select id from AB where x > 1")
+        assert any(isinstance(n, ops.Prefilter) for n in ops.walk(plan))
+        memo = Memo()
+        root = insert_plan(memo, plan)
+        stripped = _without_prefilters(plan)
+        assert stripped != plan
+        assert memo.find(insert_plan(memo, stripped)) == memo.find(root)
+        assert db.make_optimizer().optimize(plan).plan is not None
 
     def test_predicate_conjunct_order_canonical(self, db):
         memo = Memo()

@@ -4,7 +4,9 @@ once per operator execution, not once per cell.
 ``RowResolver.ordinal`` is wrapped with a counter here, in the test
 only.  Its calls must not grow with the input: a plan makes the same
 number over 10 rows as over 1,000, and each request of the E22
-``report_stream`` workload (318-6,396 result rows) makes at most 10.
+``report_stream`` workload (318-6,396 result rows) makes at most 11:
+``report_join``'s plan holds one predicate more than its query, the
+prefilter copy of ``type = 'PartTime'`` inside ``RegStudents``.
 """
 
 import pytest
@@ -80,11 +82,11 @@ def report_gateway():
 
 @pytest.mark.parametrize("mode", ["truman", "non-truman"])
 @pytest.mark.parametrize("cls", sorted(e2e.REPORT_SQL))
-def test_report_stream_request_binds_at_most_ten(
+def test_report_stream_request_binds_at_most_eleven(
     report_gateway, ordinal_calls, cls, mode
 ):
     response = report_gateway.execute(
         QueryRequest(user=e2e.REGISTRAR, sql=e2e.REPORT_SQL[cls], mode=mode)
     )
     assert len(response.rows) >= 318, response
-    assert ordinal_calls[0] <= 10
+    assert ordinal_calls[0] <= 11
