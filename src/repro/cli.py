@@ -7,10 +7,11 @@ Run with ``python -m repro`` (optionally ``--workload university`` or
 the shell as a remote client of such a server.
 
 Statements ending in ``;`` are executed as SQL under the current
-session and access-control mode.  SELECT statements are served through
-the concurrent enforcement gateway (:mod:`repro.service`), so the shell
-doubles as a single-user client of the same code path the service
-exposes — ``\\stats`` shows the gateway's live metrics.  Meta-commands:
+session and access-control mode.  SELECT, INSERT, UPDATE and DELETE
+statements are served through the concurrent enforcement gateway
+(:mod:`repro.service`), so the shell doubles as a single-user client of
+the same code path the service exposes — ``\\stats`` shows the
+gateway's live metrics.  Meta-commands:
 
 =================  ====================================================
 ``\\user ID``       reconnect as a different user
@@ -399,22 +400,20 @@ class Shell:
         except ReproError as exc:
             self.write(f"error: {exc}")
             return
-        if isinstance(statement, ast.QueryExpr):
-            self._execute_query(sql)
+        if isinstance(statement, (ast.QueryExpr, ast.Insert, ast.Update, ast.Delete)):
+            self._execute_request(sql)
             return
         try:
-            outcome = self.conn.execute(statement)
+            self.conn.execute(statement)
         except ReproError as exc:
             self.write(f"error: {exc}")
             return
-        if isinstance(outcome, int):
-            self.write(f"{outcome} row(s) affected")
-        else:
-            self.write("ok")
+        self.write("ok")
 
-    def _execute_query(self, sql: str) -> None:
-        """SELECTs go through the enforcement gateway (same path as the
-        service's network clients would take)."""
+    def _execute_request(self, sql: str) -> None:
+        """SELECTs and DML go through the enforcement gateway (same path
+        as the service's network clients would take): its read or write
+        lock, deadline and audit log."""
         from repro.errors import ServiceError
         from repro.service import QueryRequest, RequestStatus
 
@@ -428,10 +427,12 @@ class Shell:
         except ServiceError as exc:
             self.write(f"error: {exc}")
             return
-        if response.status is RequestStatus.OK:
+        if response.status is not RequestStatus.OK:
+            self.write(f"error: {response.error}")
+        elif response.result is not None:
             self._print_result(response.result)
         else:
-            self.write(f"error: {response.error}")
+            self.write(f"{response.rowcount} row(s) affected")
 
     def _print_result(self, result) -> None:
         print_result(self.write, result)

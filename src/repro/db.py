@@ -758,13 +758,17 @@ class Database:
         behind.  Inside a transaction, the list joins the transaction's
         undo log on success.
         """
-        self.validity_cache.invalidate_data()
         undo: list[tuple] = []
         try:
             count = handler(statement, session, mode, undo)
         except BaseException:
             self._undo(undo)
             raise
+        finally:
+            # moved once the change is applied: a decision stamped while
+            # it was under way carries the older version, whatever state
+            # its check read
+            self.validity_cache.invalidate_data()
         if self._txn_log is not None:
             self._txn_log.extend(undo)
         return count

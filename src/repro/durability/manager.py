@@ -178,6 +178,11 @@ class DurabilityManager:
         name = table.schema.name.lower()
 
         def hook(event: str, *args) -> None:
+            # the data version this change leaves: every row change runs
+            # inside a write that moves the version once it is applied
+            # (Database._dml, Database._undo), so a replica or a recovery
+            # that restores it retires decisions taken before the change
+            dv = self.db.validity_cache.data_version + 1
             if event == "insert":
                 rid, row = args
                 self._append(
@@ -187,7 +192,7 @@ class DurabilityManager:
                         "table": name,
                         "rid": rid,
                         "row": list(row),
-                        "dv": self.db.validity_cache.data_version,
+                        "dv": dv,
                     }
                 )
             elif event == "update":
@@ -199,7 +204,7 @@ class DurabilityManager:
                         "table": name,
                         "rid": rid,
                         "row": list(row),
-                        "dv": self.db.validity_cache.data_version,
+                        "dv": dv,
                     }
                 )
             elif event == "delete":
@@ -210,7 +215,7 @@ class DurabilityManager:
                         "op": "delete",
                         "table": name,
                         "rid": rid,
-                        "dv": self.db.validity_cache.data_version,
+                        "dv": dv,
                     }
                 )
             elif event == "index":

@@ -83,6 +83,20 @@ def compare(op: str, left: object, right: object) -> Optional[bool]:
     raise ExecutionError(f"unknown comparison operator {op!r}")
 
 
+#: the scalar functions of one argument (``coalesce`` takes any number)
+UNARY_FUNCTIONS = frozenset({"abs", "lower", "upper", "length"})
+
+
+def arity_error(expr: ast.FuncCall) -> Optional[ExecutionError]:
+    """The error both engines raise, row-lazily, for a scalar function
+    called with the wrong number of arguments; None when it fits."""
+    if expr.name.lower() not in UNARY_FUNCTIONS or len(expr.args) == 1:
+        return None
+    return ExecutionError(
+        f"function {expr.name}() takes 1 argument ({len(expr.args)} given)"
+    )
+
+
 class Evaluator:
     """Evaluates bound scalar expressions against a row.
 
@@ -275,6 +289,9 @@ class Evaluator:
         return None
 
     def _scalar_function(self, expr: ast.FuncCall, row: tuple) -> object:
+        error = arity_error(expr)
+        if error is not None:
+            raise error
         name = expr.name.lower()
         args = [self.evaluate(a, row) for a in expr.args]
         if name == "coalesce":

@@ -28,7 +28,13 @@ from typing import Callable, Optional
 
 from repro.errors import ExecutionError, TypeError_
 from repro.sql import ast
-from repro.engine.evaluator import Evaluator, RowResolver, compare, sql_like
+from repro.engine.evaluator import (
+    Evaluator,
+    RowResolver,
+    arity_error,
+    compare,
+    sql_like,
+)
 from repro.engine.vectorized.batch import ColumnBatch
 
 #: a compiled expression: batch in, value vector out
@@ -428,6 +434,9 @@ def _compile_case(expr: ast.CaseExpr, resolver: RowResolver) -> VecFn:
 
 
 def _compile_function(expr: ast.FuncCall, resolver: RowResolver) -> VecFn:
+    error = arity_error(expr)
+    if error is not None:
+        return _raise_on_rows(error)
     name = expr.name.lower()
     args = [compile_scalar(a, resolver) for a in expr.args]
     if name == "coalesce":

@@ -26,7 +26,10 @@ Options mirror the paper's Section 5.6 optimizations: ``use_pruning``
 (irrelevant-view elimination), ``allow_conditional`` and ``allow_u3``
 (rule-tier ablations for experiment E7).  The checker always infers;
 decision caching is :func:`repro.prepared.decide`'s, over the
-database's one :class:`~repro.nontruman.cache.ValidityCache`.
+database's one :class:`~repro.nontruman.cache.ValidityCache`.  The
+checker reads table data only through its probes, so a CONDITIONAL or
+INVALID decision carries them as its ``guard``: while they answer the
+same, a fresh check would decide the same.
 """
 
 from __future__ import annotations
@@ -101,14 +104,19 @@ class ValidityChecker:
         try:
             plan = self._bind(query, session)
         except (CatalogError, BindError, ParameterError, UnsupportedFeatureError) as exc:
+            # decided from the query and the catalog alone
             return ValidityDecision(
-                validity=Validity.INVALID, reason=f"cannot bind query: {exc}"
+                validity=Validity.INVALID,
+                reason=f"cannot bind query: {exc}",
+                guard=(),
             )
 
         views = self._candidate_views(query, session)
-        # probe plan -> non-empty, for this check only: the state cannot
-        # change mid-check, so an identical probe never runs twice
-        probes: dict[str, bool] = {}
+        # repr(probe plan) -> (plan, non-empty), for this check only, in
+        # first-consulted order: the state cannot change mid-check, so
+        # an identical probe never runs twice, and the memo is the
+        # decision's guard (every table datum the check read)
+        probes: dict[str, tuple[ops.Operator, bool]] = {}
         matcher = BlockMatcher(
             catalog=self.db.catalog,
             views=views,
@@ -133,6 +141,7 @@ class ValidityChecker:
                     "no rewriting in terms of the available authorization "
                     "views was found (rules U1-U3, C1-C3)"
                 ),
+                guard=tuple(probes.values()),
             )
         validity = (
             Validity.CONDITIONAL if rewriting.conditional else Validity.UNCONDITIONAL
@@ -144,6 +153,8 @@ class ValidityChecker:
             trace=rewriting.trace,
             views_used=rewriting.views_used,
             probes_executed=rewriting.probes_executed,
+            # an unconditional rewriting holds on every state
+            guard=() if validity is Validity.UNCONDITIONAL else tuple(probes.values()),
         )
 
     # -- binding -----------------------------------------------------------
@@ -268,12 +279,12 @@ class ValidityChecker:
         plan: ops.Operator,
         session: SessionContext,
         ctx,
-        memo: dict[str, bool],
+        memo: dict[str, tuple[ops.Operator, bool]],
     ) -> bool:
         # keyed on the rendering: it tells Literal(1) from Literal(True),
         # which equal (frozen-dataclass) plans would not
         key = repr(plan)
         if key not in memo:
             COUNTERS.bump("validity.probe")
-            memo[key] = self.db.probe_exists(plan, session, ctx)
-        return memo[key]
+            memo[key] = (plan, self.db.probe_exists(plan, session, ctx))
+        return memo[key][1]

@@ -49,6 +49,12 @@ class ValidityDecision:
     probes_executed: int = 0
     #: True when the decision was served from the validity cache
     from_cache: bool = False
+    #: the ``(probe plan, non-empty)`` pairs the check read, in the
+    #: order it first consulted them: the decision holds while every
+    #: probe still answers the same, and ``()`` means it holds on every
+    #: state (every UNCONDITIONAL decision).  None on a decision served
+    #: from the cache, which the cache refuses to store.
+    guard: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:

@@ -28,6 +28,7 @@ from repro.errors import (
     UnknownTableError,
     UnsupportedFeatureError,
 )
+from repro.instrument import COUNTERS
 from repro.sql import ast, parse_statement, render
 from repro.nontruman.cache import query_signature
 from repro.nontruman.decision import ValidityDecision
@@ -276,6 +277,12 @@ def decide(
     caller already holds it; otherwise ``query`` is signed here, once.
     An aborted check (deadline, cancel) raises through and stores
     nothing.
+
+    A decision a write left stale is served if its guard replays —
+    the probes its check read, re-run in order under the caller's
+    session and ``ctx``, each answering as it did (:func:`replay_guard`)
+    — and is re-stamped with the stamp read before the probes.  An
+    abort mid-replay raises through with nothing re-stamped.
     """
     if resolved is not None:
         skeleton, literals = resolved[0], resolved[1]
@@ -290,7 +297,13 @@ def decide(
         # is the templates' stamp, so a grant to another user leaves
         # this user's decisions alone.
         stamp = (cache.data_version, db.prepared.stamp(session.user))
-        cached = cache.lookup(key, literals, session.user_id, stamp)
+        cached = cache.lookup(
+            key,
+            literals,
+            session.user_id,
+            stamp,
+            replay=lambda guard: replay_guard(db, guard, session, ctx),
+        )
         if cached is not None:
             validity, reason = cached
             return ValidityDecision(validity=validity, reason=reason, from_cache=True)
@@ -305,8 +318,23 @@ def decide(
             decision.validity,
             decision.reason,
             stamp,
+            decision.guard,
         )
     return decision
+
+
+def replay_guard(db, guard: tuple, session, ctx=None) -> bool:
+    """Whether every ``(probe plan, non-empty)`` pair of a decision's
+    guard still holds, probing in the order the check consulted them and
+    stopping at the first that differs.  Given the same probe answers a
+    check is a deterministic function of its key and policy stamp, so a
+    fresh check would consult these probes and decide the same."""
+    COUNTERS.bump("validity.replay")
+    for plan, nonempty in guard:
+        COUNTERS.bump("validity.replay_probe")
+        if db.probe_exists(plan, session, ctx) != nonempty:
+            return False
+    return True
 
 
 def run_template(

@@ -87,6 +87,10 @@ def assert_reconciled(gateway: EnforcementGateway) -> None:
     assert metrics.get("decision_cache_hits") == sum(
         record.cache_hit for record in records
     )
+    # every decision-cache lookup is one hit or one miss, guard replays
+    # (served, failed or aborted) included
+    cache = gateway.cache
+    assert cache.hits + cache.misses == cache.lookups
 
 
 def serial_outcome(db: Database, request: QueryRequest):

@@ -176,6 +176,61 @@ class TestSqlExecution:
         assert "note:" in output and "student_id = '11'" in output
 
 
+class TestDmlThroughTheGateway:
+    """INSERT, UPDATE and DELETE take the gateway's write lock and are
+    audited like SELECTs."""
+
+    SCRIPT = (
+        "\\user 11\n"
+        "select * from Courses;\n"
+        "insert into Registered values ('11', 'CS103');\n"
+        "insert into Registered values ('12', 'CS103');\n"
+        "delete from Registered where student_id = '13';\n"
+        "update Registered set course_id = 'CS103' where student_id = '11' "
+        "and course_id = 'CS101';\n"
+    )
+
+    @pytest.fixture
+    def writable(self, db):
+        db.execute_script(
+            "create authorization view AllCourses as select * from Courses;"
+            "authorize insert on Registered "
+            "where Registered.student_id = $user_id;"
+            "authorize delete on Registered "
+            "where Registered.student_id = $user_id;"
+        )
+        db.grant_public("AllCourses")
+        return db
+
+    def test_each_statement_writes_one_audit_record(self, writable):
+        output = run_shell(writable, self.SCRIPT + "\\audit 10\n")
+        records = [line for line in output.splitlines() if " user='11' " in line]
+        statuses = [line.split("status=")[1].split()[0] for line in records]
+        assert statuses == ["ok", "ok", "rejected", "rejected", "rejected"]
+        assert "insert into Registered values ('11', 'CS103')" in records[1]
+        assert "delete from Registered" in records[3]
+        assert "1 row(s) affected" in output
+        assert output.count("error:") == 3
+
+    def test_counters_reconcile_with_the_audit_after_a_mixed_session(self, writable):
+        from tests.integration.test_chaos import assert_reconciled
+
+        out = io.StringIO()
+        shell = Shell(writable, out=out)
+        for line in (self.SCRIPT + "select * from Grades;\n").splitlines():
+            shell._feed(line)
+        gateway = shell.gateway()
+        try:
+            assert gateway.metrics.get("dml_requests") == 4
+            assert gateway.audit.total_recorded == 6
+            assert_reconciled(gateway)
+        finally:
+            shell.close()
+        assert writable.execute(
+            "select count(*) from Registered where course_id = 'CS103'"
+        ).rows == [(2,)]
+
+
 class TestBuildDatabase:
     def test_university_workload(self):
         db = build_database("university", None)

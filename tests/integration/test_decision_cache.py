@@ -318,6 +318,7 @@ def storm_db():
         "create table Shifts(shift_id int primary key, slot int, note varchar(20));"
         "insert into Shifts values (1, 5, 'early');"
         "insert into Shifts values (2, 6, 'late');"
+        "create table Ledger(id int primary key);"
     )
     db.execute(SHIFT_VIEWS[0])
     db.grant_public("CurrentShift")
@@ -358,6 +359,17 @@ def mutate(db, rng, state):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_every_served_decision_equals_a_fresh_check(seed):
+    """Entry points in one step share an entry still current."""
+    coherence_storm(seed, write_between_entry_points=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_every_served_decision_equals_a_fresh_check_across_writes(seed):
+    """Every entry point meets an entry a write left stale."""
+    coherence_storm(seed, write_between_entry_points=True)
+
+
+def coherence_storm(seed, write_between_entry_points):
     rng = random.Random(seed)
     db = storm_db()
     state = {
@@ -419,19 +431,34 @@ def test_every_served_decision_equals_a_fresh_check(seed):
             user, time = rng.choice(USERS), rng.choice(TIMES)
             sql = rng.choice(QUERIES).format(user=user)
             expected = fresh(db, sql, SessionContext(user_id=user, time=time))
-            served = {
-                "decide": through_decide(sql, user, time),
-                "execute_query": in_process(sql, user, time, expected),
-                "gateway prepared": through_gateway(prepared, sql, user, time),
-                "gateway unprepared": through_gateway(unprepared, sql, user, time),
-            }
+            served = {}
+            for entry_point, serve in (
+                ("decide", lambda: through_decide(sql, user, time)),
+                ("execute_query", lambda: in_process(sql, user, time, expected)),
+                ("gateway prepared", lambda: through_gateway(prepared, sql, user, time)),
+                ("gateway unprepared", lambda: through_gateway(unprepared, sql, user, time)),
+            ):
+                served[entry_point] = serve()
+                if not write_between_entry_points:
+                    continue
+                # a write no decision reads: the next entry point meets
+                # an entry whose data version is stale
+                ledger = db.table("Ledger")
+                if len(ledger):
+                    db.execute("delete from Ledger")
+                else:
+                    db.execute(f"insert into Ledger values ({step})")
             for entry_point, decision in served.items():
                 assert decision == expected, (seed, step, entry_point, sql, user, time)
         # the storm exercised the cache, not just the checker: the four
-        # entry points share one entry per key, and policy changes
-        # retired entries at their next lookup
+        # entry points share one entry per key, policy changes retired
+        # entries at their next lookup, and (with the writes between
+        # entry points) writes left entries stale that their guards
+        # re-validated
         assert cache.hits > 2 * STEPS
         assert retired > 10
+        if write_between_entry_points:
+            assert cache.revalidations > 0
         assert prepared.cache is unprepared.cache is cache
 
 

@@ -9,8 +9,8 @@ Coverage: an open-mode catalog of SQL shapes, every workload query of
 ``student_query_mix`` (open + Truman-rewritten), the paper's worked
 examples, Truman rewrites over the bank views, the witnesses of the
 access-pattern (§6) queries, whose dependent joins only a witness
-runs, and the empty-result / all-NULL corners where three-valued logic
-bugs hide.
+runs, the empty-result / all-NULL corners where three-valued logic
+bugs hide, and error corners where both engines must raise alike.
 """
 
 from collections import Counter
@@ -18,6 +18,8 @@ from collections import Counter
 import pytest
 
 from repro.db import Database
+from repro.errors import ExecutionError
+from repro.service import EnforcementGateway, QueryRequest, RequestStatus
 from repro.workloads.bank import build_bank, BankConfig, grant_teller
 from repro.workloads.queries import student_query_mix
 from repro.workloads.university import build_university, UniversityConfig
@@ -408,6 +410,51 @@ class TestNullAndEmptyCorners:
         ).witness
         for engine in ("row", "vectorized"):
             assert db.run_plan(witness, conn.session, engine=engine).rows == []
+
+
+# -- error corners -----------------------------------------------------
+
+
+class TestErrorCorners:
+    """Both engines raise the same typed error with the same text, and
+    only once a row is evaluated: over empty input nothing raises."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database()
+        db.execute("create table T(k int, s varchar(8))")
+        db.execute("create table Empty(k int, s varchar(8))")
+        db.execute("insert into T values (-1, 'ab')")
+        return db
+
+    RAISING = [
+        ("select abs(k, k) from T", "function abs() takes 1 argument (2 given)"),
+        ("select upper() from T", "function upper() takes 1 argument (0 given)"),
+        ("select lower(s, s) from T", "function lower() takes 1 argument (2 given)"),
+        (
+            "select * from T where length(s, s, s) > 0",
+            "function length() takes 1 argument (3 given)",
+        ),
+        ("select frob(k) from T", "unknown function 'frob'"),
+    ]
+
+    @pytest.mark.parametrize("sql, message", RAISING, ids=range(len(RAISING)))
+    def test_engines_raise_alike(self, db, sql, message):
+        for engine in ("row", "vectorized"):
+            with pytest.raises(ExecutionError) as raised:
+                db.execute_query(sql, engine=engine)
+            assert str(raised.value) == message, engine
+            empty = sql.replace("from T", "from Empty")
+            assert db.execute_query(empty, engine=engine).rows == [], engine
+
+    def test_the_gateway_answers_an_error_not_a_fault(self, db):
+        with EnforcementGateway(db, workers=1) as gateway:
+            response = gateway.execute(
+                QueryRequest(user=None, mode="open", sql="select abs(k, k) from T")
+            )
+            assert response.status is RequestStatus.ERROR
+            assert response.error == "function abs() takes 1 argument (2 given)"
+            assert gateway.metrics.get("worker_faults") == 0
 
 
 # -- instrumentation parity --------------------------------------------

@@ -40,14 +40,27 @@ def key_of(sql, user="u", context=()):
     return (user, context, skeleton), literals
 
 
+#: the guard a CONDITIONAL or INVALID decision carries here: one probe,
+#: which found a row
+GUARD = (("probe", True),)
+
+
 def put(cache, sql, user_value, validity, reason, user="u", stamp=STAMP):
+    """Store the way the checker guards: UNCONDITIONAL holds on every
+    state, anything else on :data:`GUARD`."""
     key, literals = key_of(sql, user)
-    cache.store(key, literals, user_value, validity, reason, stamp)
+    guard = () if validity is Validity.UNCONDITIONAL else GUARD
+    cache.store(key, literals, user_value, validity, reason, stamp, guard)
+
+
+def changed(guard):
+    """A replay after a write that flipped the probe."""
+    return False
 
 
 def get(cache, sql, user_value, user="u", stamp=STAMP):
     key, literals = key_of(sql, user)
-    return cache.lookup(key, literals, user_value, stamp)
+    return cache.lookup(key, literals, user_value, stamp, changed)
 
 
 class TestValidityCache:
@@ -70,10 +83,11 @@ class TestValidityCache:
         skeleton, literals = query_signature(parse_query("select x from T"))
         early, late = (("time", 499),), (("time", 501),)
         cache.store(
-            ("u", early, skeleton), literals, "u", Validity.UNCONDITIONAL, "ok", STAMP
+            ("u", early, skeleton), literals, "u", Validity.UNCONDITIONAL, "ok",
+            STAMP, (),
         )
-        assert cache.lookup(("u", early, skeleton), literals, "u", STAMP) is not None
-        assert cache.lookup(("u", late, skeleton), literals, "u", STAMP) is None
+        assert cache.lookup(("u", early, skeleton), literals, "u", STAMP, changed)
+        assert cache.lookup(("u", late, skeleton), literals, "u", STAMP, changed) is None
 
     def test_prepared_statement_reuse(self):
         """Same skeleton, the user-id literal position re-bound (§5.6)."""

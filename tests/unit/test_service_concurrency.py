@@ -46,6 +46,13 @@ def hammer(worker, threads=THREADS):
 
 #: a fixed ``db.prepared.stamp(user)`` value for the cache-level races
 POLICY = ((0, 0), 0, 0)
+#: a CONDITIONAL decision's guard: one probe, which found a row
+GUARD = (("probe", True),)
+
+
+def flipped(guard):
+    """A replay after a write that flipped the probe."""
+    return False
 
 
 class TestValidityCacheRaces:
@@ -61,8 +68,12 @@ class TestValidityCacheRaces:
                 skeleton, literals = signed[(index + i) % len(signed)]
                 key = (f"u{index % 3}", (), skeleton)
                 stamp = (cache.data_version, POLICY)
-                cache.store(key, literals, "me", Validity.CONDITIONAL, "probe", stamp)
-                cache.lookup(key, literals, "me", (cache.data_version, POLICY))
+                cache.store(
+                    key, literals, "me", Validity.CONDITIONAL, "probe", stamp, GUARD
+                )
+                cache.lookup(
+                    key, literals, "me", (cache.data_version, POLICY), flipped
+                )
                 if i % 25 == 0:
                     cache.invalidate_data()
                 if i % 40 == 0:
@@ -72,6 +83,52 @@ class TestValidityCacheRaces:
         assert cache.size <= 64
         # every lookup was accounted exactly once
         assert cache.hits + cache.misses == THREADS * OPS
+
+    def test_concurrent_guard_replays_account_every_lookup(self):
+        """Replays run outside the lock while other threads store,
+        write and replay the same entries; each lookup still counts one
+        hit or one miss, and a restamp never moves an entry backwards."""
+        cache = ValidityCache(max_entries=16)
+        signed = [
+            query_signature(parse_query(f"select x{i} from T where y = 1"))
+            for i in range(6)
+        ]
+
+        def replay(guard):
+            (_, holds), = guard
+            if not holds:
+                raise RuntimeError("replay aborted")
+            return True
+
+        def worker(index):
+            for i in range(OPS):
+                skeleton, literals = signed[(index + i) % len(signed)]
+                key = ("u", (), skeleton)
+                stamp = (cache.data_version, POLICY)
+                if i % 3 == 0:
+                    holds = i % 7 != 0
+                    cache.store(
+                        key, literals, "u", Validity.CONDITIONAL, "probe",
+                        stamp, (("probe", holds),),
+                    )
+                try:
+                    cache.lookup(key, literals, "u", stamp, replay=replay)
+                except RuntimeError:
+                    pass
+                if i % 5 == 0:
+                    cache.invalidate_data()
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.lookups == THREADS * OPS
+        assert cache.hits + cache.misses == cache.lookups
+        assert cache.revalidations > 0
+        current = cache.data_version
+        assert all(entry.stamp[0] <= current for entry in cache._entries.values())
 
     def test_lru_bound_holds_under_concurrency(self):
         cache = ValidityCache(max_entries=8)
@@ -87,7 +144,7 @@ class TestValidityCacheRaces:
                 skeleton, literals = signed[(index * 7 + i) % 32]
                 cache.store(
                     ("u", (), skeleton), literals, "u",
-                    Validity.UNCONDITIONAL, "ok", (0, POLICY),
+                    Validity.UNCONDITIONAL, "ok", (0, POLICY), (),
                 )
 
         hammer(worker)
@@ -146,9 +203,11 @@ class TestSharedCacheRaces:
                 user = f"u{index % 4}"
                 key = (user, (), skeleton)
                 stamp = (state["data"], state["policy"])
-                cache.store(key, literals, user, Validity.CONDITIONAL, "probe", stamp)
+                cache.store(
+                    key, literals, user, Validity.CONDITIONAL, "probe", stamp, GUARD
+                )
                 stamp = (state["data"], state["policy"])
-                found = cache.lookup(key, literals, user, stamp)
+                found = cache.lookup(key, literals, user, stamp, flipped)
                 assert found in (None, (Validity.CONDITIONAL, "probe"))
                 if index == 0 and i % 20 == 0:
                     state["data"] += 1
@@ -163,12 +222,12 @@ class TestSharedCacheRaces:
         skeleton, literals = signed[0]
         key = ("u0", (), skeleton)
         stamp = (state["data"], state["policy"])
-        cache.store(key, literals, "u0", Validity.CONDITIONAL, "probe", stamp)
-        assert cache.lookup(key, literals, "u0", stamp) is not None
+        cache.store(key, literals, "u0", Validity.CONDITIONAL, "probe", stamp, GUARD)
+        assert cache.lookup(key, literals, "u0", stamp, flipped) is not None
         size, misses = cache.size, cache.misses
         state["policy"] += 1
         stamp = (state["data"], state["policy"])
-        assert cache.lookup(key, literals, "u0", stamp) is None
+        assert cache.lookup(key, literals, "u0", stamp, flipped) is None
         assert cache.misses == misses + 1
         assert cache.size == size
 
